@@ -21,12 +21,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .components import UnivariateNormal, validate_observations
 from .em import e_step
 from .errors import DomainError
-from .models import MixingMeasure, MixtureModel
+from .models import MixingMeasure, MixtureModel, _logsumexp, log_weighted_densities
 from .sampling import _as_rng
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -281,9 +280,7 @@ def _evaluate_functional(functional, measure):
         top = max(c.sigma for _, c in measure.atoms)
         return max(w for w, c in measure.atoms if c.sigma == top)
     if isinstance(functional, PredictiveDensityAt):
-        pts = np.asarray(functional.points)
-        per_comp = np.vstack([w * np.exp(c.log_density(pts)) for w, c in measure.atoms])
-        return np.array([math.fsum(per_comp[:, j].tolist()) for j in range(len(pts))])
+        return np.exp(_logsumexp(log_weighted_densities(MixtureModel(measure), functional.points)))
     raise DomainError(f"unknown functional {functional!r}")
 
 
@@ -341,7 +338,7 @@ def _loglik_of_draws(data, etas, mus, sigmas):
     comp_log = -0.5 * z * z - np.log(sigmas)[None, :, :] - 0.5 * _LOG_TWO_PI
     with np.errstate(divide="ignore"):
         comp_log = comp_log + np.log(etas)[None, :, :]
-    return logsumexp(comp_log, axis=2).sum(axis=0)
+    return _logsumexp(comp_log).sum(axis=0)
 
 
 def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
@@ -370,7 +367,7 @@ def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
         return EvidenceEstimate(log_value=-math.inf, log_se=math.nan, underflowed=True)
     w = np.exp(lls - top)
     mean_w = w.mean()
-    log_value = float(logsumexp(lls) - math.log(m))
+    log_value = float(_logsumexp(lls) - math.log(m))
     log_se = float(w.std(ddof=1) / (mean_w * math.sqrt(m)))
     return EvidenceEstimate(log_value=log_value, log_se=log_se, underflowed=False)
 
@@ -385,12 +382,12 @@ def combine_log_marginals(log_marginals, prior_on_G):
         raise DomainError("one marginal likelihood per model size is required")
     with np.errstate(divide="ignore"):
         lp = np.log(prior_on_G) + log_marginals
-    post = np.exp(lp - logsumexp(lp))
+    post = np.exp(lp - _logsumexp(lp))
     return post / post.sum()
 
 
-def posterior_over_G(data, G_range, prior_builder, prior_on_G, config=EvidenceConfig()):
-    """Posterior probabilities of each model size in ``G_range``.
+def evidence_over_G(data, G_range, prior_builder, config=EvidenceConfig()):
+    """Evidence estimate of each model size in ``G_range``, in order.
 
     ``prior_builder(G)`` must return the within-model ConjugatePrior; the
     evidence of each size is estimated independently (fresh seed stream per
@@ -404,4 +401,10 @@ def posterior_over_G(data, G_range, prior_builder, prior_on_G, config=EvidenceCo
     for G, child in zip(G_range, children):
         sub = EvidenceConfig(n_prior_draws=config.n_prior_draws, seed=int(child.generate_state(1)[0]))
         estimates.append(log_marginal_likelihood(data, G, prior_builder(G), sub))
+    return estimates
+
+
+def posterior_over_G(data, G_range, prior_builder, prior_on_G, config=EvidenceConfig()):
+    """Posterior probabilities of each size in ``G_range``, from :func:`evidence_over_G`."""
+    estimates = evidence_over_G(data, G_range, prior_builder, config)
     return combine_log_marginals([e.log_value for e in estimates], prior_on_G)

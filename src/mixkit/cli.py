@@ -35,7 +35,7 @@ from .bayes import (
     WeightOfLargestVarianceComponent,
     combine_log_marginals,
     default_prior,
-    log_marginal_likelihood,
+    evidence_over_G,
     run_gibbs,
     summarize_H,
 )
@@ -59,7 +59,7 @@ from .errors import (
     InvalidMeasureError,
     SpecDocumentError,
 )
-from .models import MixtureModel, log_weighted_densities
+from .models import MixtureModel, _logsumexp, log_weighted_densities
 from .modelspec import document_for, load_document
 from .modes import find_modes
 from .sampling import HMMSpec, sample_hmm, sample_mixture
@@ -259,21 +259,18 @@ def _density_table(model, grid):
             ys = np.arange(max(0, int(math.ceil(lo))), int(math.floor(hi)) + 1)
             if ys.size == 0:
                 raise DomainError("grid covers no non-negative integers")
-        from scipy.special import logsumexp
-
-        vals = np.exp(logsumexp(log_weighted_densities(model, ys), axis=1))
-        return ys, vals, {"pmf_sum": math.fsum(vals.tolist())}
-    if grid is None:
-        mus = [c.mu for c in model.measure.components]
-        smax = max(c.sigma for c in model.measure.components)
-        lo, hi, points = min(mus) - 8.0 * smax, max(mus) + 8.0 * smax, 2001
     else:
-        lo, hi, points = grid
-    xs = np.linspace(lo, hi, points)
-    dens = np.zeros_like(xs)
-    for w, c in model.measure.atoms:
-        dens += w * np.exp(c.log_density(xs))
-    return xs, dens, {"trapezoid_integral": float(np.trapezoid(dens, xs))}
+        if grid is None:
+            mus = [c.mu for c in model.measure.components]
+            smax = max(c.sigma for c in model.measure.components)
+            lo, hi, points = min(mus) - 8.0 * smax, max(mus) + 8.0 * smax, 2001
+        else:
+            lo, hi, points = grid
+        ys = np.linspace(lo, hi, points)
+    vals = np.exp(_logsumexp(log_weighted_densities(model, ys)))
+    if model.family == "poisson":
+        return ys, vals, {"pmf_sum": math.fsum(vals.tolist())}
+    return ys, vals, {"trapezoid_integral": float(np.trapezoid(vals, ys))}
 
 
 def _cmd_density(args, argv):
@@ -421,11 +418,8 @@ def _cmd_select_g(args, argv):
     if g_min < 1 or g_min > g_max:
         raise DomainError("need 1 <= g-min <= g-max")
     sizes = list(range(g_min, g_max + 1))
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    estimates = []
-    for G, child in zip(sizes, children):
-        sub = EvidenceConfig(n_prior_draws=args.prior_draws, seed=int(child.generate_state(1)[0]))
-        estimates.append(log_marginal_likelihood(data, G, default_prior(data, G), sub))
+    config = EvidenceConfig(n_prior_draws=args.prior_draws, seed=seed)
+    estimates = evidence_over_G(data, sizes, lambda G: default_prior(data, G), config)
     prior_on_G = np.full(len(sizes), 1.0 / len(sizes))
     posterior = combine_log_marginals([e.log_value for e in estimates], prior_on_G)
     rows = [(G, e.log_value, p) for G, e, p in zip(sizes, estimates, posterior)]

@@ -5,6 +5,11 @@ has probability alpha^d * prod_j (n_j - 1)! / (alpha (alpha+1) ... (alpha+n-1)),
 a function of the block sizes only.  This module evaluates that law exactly,
 samples it by sequential seating, enumerates all partitions for small n and
 computes the exact expected number of blocks.
+
+Seating uses the copy rule: with probability i/(alpha+i) customer i (0-based)
+copies the label of a uniformly chosen earlier customer, which joins block j
+with probability n_j/(alpha+i); otherwise it opens a new block.  One uniform
+per customer decides both, so a run costs O(n).
 """
 
 from __future__ import annotations
@@ -105,51 +110,32 @@ def enumerate_partitions(n):
 
 
 def sample_crp(config):
-    """Sequential seating: join a block proportionally to its size, or open
-    a new one proportionally to alpha."""
-    rng = np.random.default_rng(config.seed) if not isinstance(config.seed, np.random.Generator) else config.seed
-    labels = [0]
-    counts = [1]
-    for i in range(1, config.n):
-        u = rng.random() * (config.alpha + i)
-        acc = 0.0
-        chosen = len(counts)
-        for j, c in enumerate(counts):
-            acc += c
-            if u < acc:
-                chosen = j
-                break
-        labels.append(chosen)
-        if chosen == len(counts):
-            counts.append(1)
-        else:
-            counts[chosen] += 1
-    return Partition.from_labels(labels)
+    """One sequentially seated partition: a single run of :func:`sample_crp_labels`."""
+    return Partition.from_labels(sample_crp_labels(config.alpha, config.n, 1, config.seed)[0].tolist())
 
 
 def sample_crp_labels(alpha, n, runs, seed):
     """Vectorized seating across many independent runs.
 
-    Returns a (runs, n) array of 0-based block labels in restricted-growth
-    form, suitable for frequency tests against the exact law.
+    Returns a (runs, n) int64 array of 0-based block labels in
+    restricted-growth form, suitable for frequency tests against the exact
+    law.  Customer i draws u uniform on [0, alpha + i): it copies the label
+    of customer floor(u) when u < i and opens the next block otherwise.
     """
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
     if n < 1 or runs < 1:
         raise DomainError("n and runs must be at least 1")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    labels = np.zeros((runs, n), dtype=np.int8)
-    counts = np.zeros((runs, n))
-    counts[:, 0] = 1.0
+    labels = np.zeros((runs, n), dtype=np.int64)
     opened = np.ones(runs, dtype=np.int64)
     rows = np.arange(runs)
     for i in range(1, n):
         u = rng.random(runs) * (alpha + i)
-        cum = np.cumsum(counts, axis=1)
-        idx = np.minimum((u[:, None] >= cum).sum(axis=1), opened)
-        labels[:, i] = idx
-        counts[rows, idx] += 1.0
-        opened += idx == opened
+        join = u < i
+        source = np.where(join, u, 0.0).astype(np.int64)
+        labels[:, i] = np.where(join, labels[rows, source], opened)
+        opened += ~join
     return labels
 
 

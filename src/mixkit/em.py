@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .components import BivariateNormal, Poisson, UnivariateNormal, validate_observations
 from .errors import DegeneratePointError, DomainError, EmptyComponentError
 from .models import MixingMeasure, MixtureModel, canonicalize, log_weighted_densities, model_to_dict
+from .models import _component_log_densities, _logsumexp
 
 POISSON_RATE_FLOOR = 1e-8
 EMPTY_RESPONSIBILITY = 1e-300
@@ -76,7 +76,7 @@ class EMState:
 
 def _responsibilities_and_loglik(model, data):
     L = log_weighted_densities(model, data)
-    norm = logsumexp(L, axis=1)
+    norm = _logsumexp(L)
     bad = np.flatnonzero(np.isneginf(norm))
     if bad.size:
         raise DegeneratePointError(int(bad[0]))
@@ -284,14 +284,14 @@ def run_em(data, G, family="normal", config=EMConfig()):
 def hard_allocations(model, data):
     """1-based labels maximizing the component density; ties go to the lowest."""
     arr = validate_observations(model.family, data)
-    L = np.column_stack([c.log_density(arr) for c in model.measure.components])
-    return np.argmax(L, axis=1) + 1
+    return np.argmax(_component_log_densities(model, arr), axis=1) + 1
 
 
-def _classification_loglik(model, data, z):
-    arr = validate_observations(model.family, data)
-    L = np.column_stack([c.log_density(arr) for c in model.measure.components])
-    return math.fsum(L[np.arange(len(arr)), z - 1].tolist())
+def _hard_step(model, arr):
+    """Argmax labels and the classification log-likelihood, from one matrix."""
+    L = _component_log_densities(model, arr)
+    idx = np.argmax(L, axis=1)
+    return idx + 1, math.fsum(L[np.arange(len(arr)), idx].tolist())
 
 
 def run_hard_em(data, G, family="normal", config=EMConfig()):
@@ -313,8 +313,8 @@ def run_hard_em(data, G, family="normal", config=EMConfig()):
     for child in children:
         rng = np.random.default_rng(child)
         model = MixtureModel(_initial_measure(arr, G, family, config, rng, floor))
-        z = hard_allocations(model, arr)
-        trace = [_classification_loglik(model, arr, z)]
+        z, ll = _hard_step(model, arr)
+        trace = [ll]
         converged = False
         for _ in range(config.max_iter):
             onehot = np.zeros((len(arr), G))
@@ -326,8 +326,8 @@ def run_hard_em(data, G, family="normal", config=EMConfig()):
                     f"group {int(empty[0]) + 1} emptied after reallocation",
                 )
             model = MixtureModel(MixingMeasure(tuple(zip((weights / weights.sum()).tolist(), comps))))
-            z_new = hard_allocations(model, arr)
-            trace.append(_classification_loglik(model, arr, z_new))
+            z_new, ll = _hard_step(model, arr)
+            trace.append(ll)
             if np.array_equal(z_new, z):
                 converged = True
                 z = z_new

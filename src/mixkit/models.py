@@ -4,6 +4,10 @@ A mixing measure is a finite list of (weight, component) atoms sharing one
 parametric family; a mixture model pairs the family tag with such a measure.
 The mixture density is the weight-weighted sum of component densities, and
 every label-free comparison of two measures goes through :func:`canonicalize`.
+
+Mixture densities are computed here only: every other module (em, bayes,
+modes, cli) builds the component matrix with :func:`log_weighted_densities`
+and reduces it across atoms with the order-invariant :func:`_logsumexp`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .components import FAMILIES, component_from_dict, validate_observations
 from .errors import DomainError, InvalidMeasureError, SpecDocumentError
@@ -148,31 +151,45 @@ def log_density(model, y):
             raise DomainError("log_density expects a single observation")
     elif arr.shape != (1,):
         raise DomainError("log_density expects a single observation")
-    point = arr[0]
-    terms = []
-    for w, c in model.measure.atoms:
-        if w > 0.0:
-            terms.append(math.log(w) + float(c.log_density(point)))
-    if not terms:
-        return -math.inf
-    return float(logsumexp(terms))
+    return float(_logsumexp(log_weighted_densities(model, arr))[0])
+
+
+def _logsumexp(a):
+    """log(sum(exp(a))) over the last axis; a row of -inf gives -inf.
+
+    The shifted exponentials are sorted before they are summed, so each
+    result depends only on the multiset of its row: relabeling atoms cannot
+    change a single bit.
+    """
+    top = a.max(axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    terms = a - shift
+    np.exp(terms, out=terms)
+    terms.sort(axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.log(terms.sum(axis=-1)) + shift[..., 0]
+
+
+def _component_log_densities(model, arr):
+    """Unweighted matrix of log f(y_i | theta_g), shape (n, G); hard EM reads it directly.
+
+    ``arr`` must already be validated for the model family."""
+    out = np.empty((arr.shape[0], model.G))
+    with np.errstate(divide="ignore"):
+        for g, c in enumerate(model.measure.components):
+            out[:, g] = c.log_density(arr)
+    return out
 
 
 def log_weighted_densities(model, data):
     """Matrix of log(eta_g) + log f(y_i | theta_g), shape (n, G).
 
-    Shared by the likelihood, the E-step and the Gibbs allocation update.
-    ``data`` must already be validated for the model family.
+    The shared kernel of log_density, log_likelihood, the E-step (hence the
+    Gibbs allocations), the predictive density, the density table and modes.
     """
     arr = validate_observations(model.family, data)
-    n = arr.shape[0]
-    G = model.G
-    out = np.empty((n, G))
-    with np.errstate(divide="ignore"):
-        for g, (w, c) in enumerate(model.measure.atoms):
-            lw = math.log(w) if w > 0.0 else -math.inf
-            out[:, g] = lw + c.log_density(arr)
-    return out
+    log_w = np.array([math.log(w) if w > 0.0 else -math.inf for w, _ in model.measure.atoms])
+    return _component_log_densities(model, arr) + log_w
 
 
 def log_likelihood(model, data):
@@ -184,8 +201,7 @@ def log_likelihood(model, data):
     arr = validate_observations(model.family, data)
     if arr.shape[0] == 0:
         return 0.0
-    per_point = logsumexp(log_weighted_densities(model, arr), axis=1)
-    return math.fsum(per_point.tolist())
+    return math.fsum(_logsumexp(log_weighted_densities(model, arr)).tolist())
 
 
 def model_to_dict(model):

@@ -7,16 +7,16 @@ count, so modes are located directly: the analytic first derivative
         = sum_g eta_g phi(y | mu_g, sigma_g) (mu_g - y) / sigma_g^2
 
 is scanned for sign changes on a grid and every descending crossing is
-refined by bisection.
+refined by bisection.  Both the density and its derivative are read from
+one matrix of weighted component densities, exp(log_weighted_densities).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, IntervalTooSmallError
+from .models import log_weighted_densities
 
 BISECT_TOL = 1e-10
 # The interval is rejected when the density at either endpoint exceeds this
@@ -40,19 +40,13 @@ def _require_univariate_normal(model):
         raise DomainError("mode search is defined for univariate Normal mixtures only")
 
 
-def _density_on_grid(model, xs):
-    out = np.zeros_like(xs)
-    for w, c in model.measure.atoms:
-        out += w * np.exp(c.log_density(xs))
-    return out
-
-
-def _derivative(model, xs):
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
-    for w, c in model.measure.atoms:
-        out += w * np.exp(c.log_density(xs)) * (c.mu - xs) / (c.sigma * c.sigma)
-    return out
+def _density_and_derivative(model, xs):
+    """Mixture density and its first derivative at the points ``xs``."""
+    terms = np.exp(log_weighted_densities(model, xs))
+    mus = np.array([c.mu for c in model.measure.components])
+    variances = np.array([c.sigma * c.sigma for c in model.measure.components])
+    slopes = terms * (mus - xs[:, None]) / variances
+    return terms.sum(axis=1), slopes.sum(axis=1)
 
 
 def find_modes(model, search_interval=None, grid_points=4096):
@@ -74,14 +68,13 @@ def find_modes(model, search_interval=None, grid_points=4096):
         raise DomainError(f"grid_points must be at least {MIN_GRID_POINTS}")
 
     xs = np.linspace(lo, hi, grid_points)
-    dens = _density_on_grid(model, xs)
+    dens, deriv = _density_and_derivative(model, xs)
     peak = dens.max()
     if dens[0] > ENDPOINT_MASS_RATIO * peak or dens[-1] > ENDPOINT_MASS_RATIO * peak:
         raise IntervalTooSmallError(
             f"interval [{lo}, {hi}] does not cover the mass of the density"
         )
 
-    deriv = _derivative(model, xs)
     signs = np.sign(deriv)
     nonzero = np.flatnonzero(signs)
     modes = []
@@ -95,7 +88,7 @@ def _bisect(model, a, b):
     # invariant: derivative positive at a, negative at b
     while b - a > BISECT_TOL:
         mid = 0.5 * (a + b)
-        d = float(_derivative(model, np.array([mid]))[0])
+        d = float(_density_and_derivative(model, np.array([mid]))[1][0])
         if d > 0.0:
             a = mid
         elif d < 0.0:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -142,8 +143,10 @@ def test_param_region_membership():
 
 
 def test_summaries_are_label_invariant(flat_prior, two_normal_separated):
+    # G=3 as well: any two-term sum commutes, so G=2 alone cannot catch a
+    # reduction across atoms that depends on their order
     data = mk.sample_mixture(two_normal_separated, 150, 67).data
-    post = mk.run_gibbs(data, 2, flat_prior, mk.GibbsConfig(burn_in=20, n_samples=50, seed=13))
+    three = mk.ConjugatePrior((1.0, 1.0, 1.0), 0.0, 10.0, 2.0, 4.0)
     functionals = (
         mk.AtomCountInSet(mk.ParamRegion(mu_min=0.0)),
         mk.TotalWeightInSet(mk.ParamRegion(mu_min=0.0)),
@@ -152,11 +155,14 @@ def test_summaries_are_label_invariant(flat_prior, two_normal_separated):
     )
     from mixkit.bayes import _evaluate_functional
 
-    for fn in functionals:
-        for snap in post.snapshots[:10]:
-            direct = _evaluate_functional(fn, snap.measure)
-            flipped = _evaluate_functional(fn, mk.permute(snap.measure, (2, 1)))
-            assert np.array_equal(np.asarray(direct), np.asarray(flipped))
+    for G, prior in ((2, flat_prior), (3, three)):
+        post = mk.run_gibbs(data, G, prior, mk.GibbsConfig(burn_in=20, n_samples=50, seed=13))
+        for fn in functionals:
+            for snap in post.snapshots[:10]:
+                direct = _evaluate_functional(fn, snap.measure)
+                for perm in itertools.permutations(range(1, G + 1)):
+                    flipped = _evaluate_functional(fn, mk.permute(snap.measure, perm))
+                    assert np.array_equal(np.asarray(direct), np.asarray(flipped))
 
 
 def test_summarize_H_on_a_known_chain(flat_prior, two_normal_separated):

@@ -212,6 +212,11 @@ def test_select_g_table(tmp_path, spec_file):
     assert [r["G"] for r in rows] == ["1", "2", "3"]
     total = math.fsum(float(r["posterior"]) for r in rows)
     assert total == pytest.approx(1.0, abs=1e-12)
+    # the command is the library's posterior over G, seeds included
+    data = np.array([float(r["y"]) for r in read_rows(sim)])
+    want = mk.posterior_over_G(data, [1, 2, 3], lambda G: mk.default_prior(data, G),
+                               np.full(3, 1.0 / 3.0), mk.EvidenceConfig(n_prior_draws=2000, seed=1))
+    assert [float(r["posterior"]) for r in rows] == want.tolist()
 
 
 def test_compound_tables(tmp_path):
@@ -261,6 +266,18 @@ def test_crp_prints_expectation(tmp_path, capsys):
     rows = read_rows(out)
     total = math.fsum(float(r["frequency"]) for r in rows)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_crp_mean_matches_expectation_beyond_127_blocks(tmp_path, capsys):
+    # more blocks than an int8 label can count
+    out = str(tmp_path / "crp.csv")
+    assert main(["crp", "--alpha", "200", "--n", "400", "--runs", "50", "--out", out]) == EXIT_OK
+    expected = float(capsys.readouterr().out.split()[1])
+    counts = {int(r["clusters"]): int(r["runs"]) for r in read_rows(out)}
+    mean = math.fsum(k * c for k, c in counts.items()) / 50
+    # the block count is a sum of independent Bernoulli(alpha / (alpha + i)) indicators
+    variance = math.fsum(200.0 / (200.0 + i) * i / (200.0 + i) for i in range(400))
+    assert abs(mean - expected) <= 5.0 * math.sqrt(variance / 50)
 
 
 def test_usage_errors_exit_2(tmp_path, spec_file):

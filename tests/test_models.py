@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -72,6 +73,26 @@ def test_permute_is_exactly_invariant(three_normal_unimodal):
     permuted = mk.MixtureModel(mk.permute(measure, (3, 1, 2)))
     for y in (-2.0, 0.0, 2.9, 3.0, 10.0):
         assert mk.density(permuted, y) == mk.density(three_normal_unimodal, y)
+
+
+def test_log_likelihood_and_log_density_ignore_atom_order():
+    # random overlapping G=4 mixtures, each against all 24 relabelings, bit for bit
+    rng = np.random.default_rng(1)
+    perms = list(itertools.permutations(range(1, 5)))
+    for _ in range(300):
+        weights = rng.dirichlet(np.ones(4))
+        atoms = tuple(
+            (float(w), mk.UnivariateNormal(float(rng.uniform(-10.0, 10.0)), float(rng.uniform(0.3, 3.0))))
+            for w in weights
+        )
+        model = mk.MixtureModel(mk.MixingMeasure(atoms))
+        y = mk.sample_mixture(model, 200, rng).data
+        loglik = mk.log_likelihood(model, y)
+        logdens = mk.log_density(model, y[0])
+        for perm in perms:
+            permuted = mk.MixtureModel(mk.permute(model.measure, perm))
+            assert mk.log_likelihood(permuted, y) == loglik
+            assert mk.log_density(permuted, y[0]) == logdens
 
 
 def test_permute_rejects_non_bijections(three_normal_unimodal):
