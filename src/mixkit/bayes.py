@@ -23,9 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import UnivariateNormal, validate_observations
-from .em import e_step
+from .em import _responsibilities, e_step
 from .errors import DomainError
-from .models import MixingMeasure, MixtureModel, _logsumexp, log_weighted_densities
+from .models import (
+    MixingMeasure,
+    MixtureModel,
+    _component_log_densities,
+    _logs,
+    _logsumexp,
+    _measure_from_params,
+    _measure_params,
+)
 from .sampling import _as_rng
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -119,17 +127,26 @@ def allocation_probabilities(measure, data):
     return e_step(MixtureModel(measure), data)
 
 
+def _draw_allocations(rng, r):
+    """1-based draws, row i from the categorical r[i]: one uniform per row,
+    counted against the running sum of the atom columns."""
+    G = r.shape[1]
+    u = rng.random(len(r))
+    cum = r[:, 0].copy()
+    idx = (u >= cum).astype(np.int64)
+    for g in range(1, G):
+        cum += r[:, g]
+        idx += u >= cum
+    return np.minimum(idx, G - 1) + 1
+
+
 def gibbs_allocations(measure, data, seed):
     """Draw 1-based allocations, each row from its responsibility vector."""
     rng = _as_rng(seed)
     arr = validate_observations(measure.family, data)
     if len(arr) == 0:
         return np.empty(0, dtype=np.int64)
-    r = allocation_probabilities(measure, arr)
-    cum = np.cumsum(r, axis=1)
-    u = rng.random(len(arr))
-    idx = np.minimum((u[:, None] >= cum).sum(axis=1), measure.G - 1)
-    return idx.astype(np.int64) + 1
+    return _draw_allocations(rng, allocation_probabilities(measure, arr))
 
 
 def _posterior_coefficients(prior, members):
@@ -150,21 +167,39 @@ def _posterior_coefficients(prior, members):
     return mn, kn, an, bn
 
 
-def _draw_component(rng, mn, kn, an, bn):
+def _draw_normal(rng, mn, kn, an, bn):
+    """(mu, sigma) from the Normal-inverse-Gamma with the given coefficients."""
     variance = 1.0 / rng.gamma(an, 1.0 / bn)
     mu = rng.normal(mn, math.sqrt(variance / kn))
-    return UnivariateNormal(mu, math.sqrt(variance))
+    return mu, math.sqrt(variance)
 
 
 def prior_draw(prior, seed):
     """One draw of (weights, components) from the prior, as a MixingMeasure."""
     rng = _as_rng(seed)
     eta = rng.dirichlet(prior.dirichlet_weights)
-    comps = [
-        _draw_component(rng, prior.normal_mean_loc, prior.kappa0, prior.ig_shape, prior.ig_scale)
-        for _ in range(prior.G)
-    ]
+    coefficients = (prior.normal_mean_loc, prior.kappa0, prior.ig_shape, prior.ig_scale)
+    comps = [UnivariateNormal(*_draw_normal(rng, *coefficients)) for _ in range(prior.G)]
     return MixingMeasure(tuple(zip(eta.tolist(), comps)))
+
+
+def _sweep(rng, arr, prior, eta, mu, sigma):
+    """One scan on arrays: allocations, then weights, then component
+    parameters.  Returns (z, eta, mu, sigma) of the next state."""
+    G = len(mu)
+    if len(arr):
+        L = _component_log_densities("normal", (mu, sigma), arr) + _logs(eta)
+        z = _draw_allocations(rng, _responsibilities(L)[0])
+        counts = np.bincount(z - 1, minlength=G)
+    else:
+        z = np.empty(0, dtype=np.int64)
+        counts = np.zeros(G)
+    eta = rng.dirichlet(np.asarray(prior.dirichlet_weights) + counts)
+    mu, sigma = np.empty(G), np.empty(G)
+    for g in range(G):
+        members = arr[z == g + 1] if len(arr) else arr
+        mu[g], sigma[g] = _draw_normal(rng, *_posterior_coefficients(prior, members))
+    return z, eta, mu, sigma
 
 
 def gibbs_sweep(state, data, prior, seed):
@@ -177,38 +212,33 @@ def gibbs_sweep(state, data, prior, seed):
         raise DomainError("the Gibbs sampler handles univariate Normal mixtures")
     rng = _as_rng(seed)
     arr = validate_observations("normal", data)
-    G = state.measure.G
-    if prior.G != G:
+    if prior.G != state.measure.G:
         raise DomainError("prior and state disagree on the number of components")
-    z = gibbs_allocations(state.measure, arr, rng)
-    counts = np.bincount(z - 1, minlength=G) if len(arr) else np.zeros(G)
-    eta = rng.dirichlet(np.asarray(prior.dirichlet_weights) + counts)
-    comps = []
-    for g in range(G):
-        members = arr[z == g + 1] if len(arr) else arr
-        comps.append(_draw_component(rng, *_posterior_coefficients(prior, members)))
-    measure = MixingMeasure(tuple(zip(eta.tolist(), comps)))
+    z, eta, mu, sigma = _sweep(rng, arr, prior, state.measure.weights, *_measure_params(state.measure))
+    measure = _measure_from_params("normal", eta, (mu, sigma))
     return GibbsState(z=z, measure=measure, iteration=state.iteration + 1)
 
 
 def run_gibbs(data, G, prior, config=GibbsConfig()):
-    """Run the sampler and return the thinned post-burn-in chain, unrelabeled."""
+    """Run the sampler and return the thinned post-burn-in chain, unrelabeled.
+
+    The sweeps run on parameter arrays; a GibbsState and its measure are
+    built for retained snapshots only.
+    """
     arr = validate_observations("normal", data)
     G = int(G)
     if prior.G != G:
         raise DomainError("prior dirichlet_weights must have length G")
     rng = np.random.default_rng(config.seed)
-    state = GibbsState(
-        z=np.ones(len(arr), dtype=np.int64),
-        measure=prior_draw(prior, rng),
-        iteration=0,
-    )
+    start = prior_draw(prior, rng)
+    eta, (mu, sigma) = start.weights, _measure_params(start)
     snapshots = []
     total = config.burn_in + config.n_samples * config.thin
     for sweep_index in range(1, total + 1):
-        state = gibbs_sweep(state, arr, prior, rng)
+        z, eta, mu, sigma = _sweep(rng, arr, prior, eta, mu, sigma)
         if sweep_index > config.burn_in and (sweep_index - config.burn_in) % config.thin == 0:
-            snapshots.append(state)
+            measure = _measure_from_params("normal", eta, (mu, sigma))
+            snapshots.append(GibbsState(z=z, measure=measure, iteration=sweep_index))
     return PosteriorSample(snapshots=tuple(snapshots), seed=config.seed, config=config)
 
 
@@ -271,6 +301,28 @@ class SummaryStatistics:
     quantiles: dict
 
 
+# summarize_H: at most this many predictive values per stacked kernel call
+PREDICTIVE_CHUNK = 4_000_000
+
+
+def _predictive_densities(measures, points):
+    """Mixture density of each measure at ``points``, shape (S, P), from one
+    stacked kernel call per chunk of snapshots.
+
+    The S measures' atoms go into one component matrix, atom-major across
+    measures (column g*S + s is atom g of measure s), so its transpose is
+    a (G, S, P) block whose atom slices are contiguous.
+    """
+    family = measures[0].family
+    arr = validate_observations(family, points)
+    S, G = len(measures), measures[0].G
+    per_atom = [np.stack(p) for p in zip(*(_measure_params(m) for m in measures))]
+    flat = [np.swapaxes(p, 0, 1).reshape(G * S, *p.shape[2:]) for p in per_atom]
+    log_w = _logs(np.stack([m.weights for m in measures]).T.ravel())
+    L = _component_log_densities(family, flat, arr).T + log_w[:, None]
+    return np.exp(_logsumexp(np.moveaxis(L.reshape(G, S, len(arr)), 0, -1)))
+
+
 def _evaluate_functional(functional, measure):
     if isinstance(functional, AtomCountInSet):
         return float(sum(1 for _, c in measure.atoms if functional.region.contains(c)))
@@ -280,7 +332,7 @@ def _evaluate_functional(functional, measure):
         top = max(c.sigma for _, c in measure.atoms)
         return max(w for w, c in measure.atoms if c.sigma == top)
     if isinstance(functional, PredictiveDensityAt):
-        return np.exp(_logsumexp(log_weighted_densities(MixtureModel(measure), functional.points)))
+        return _predictive_densities([measure], functional.points)[0]
     raise DomainError(f"unknown functional {functional!r}")
 
 
@@ -289,7 +341,15 @@ def summarize_H(sample, functional):
     distribution, evaluated on every snapshot of the raw chain."""
     if len(sample) == 0:
         raise DomainError("the posterior sample is empty")
-    values = np.array([_evaluate_functional(functional, s.measure) for s in sample.snapshots])
+    measures = [s.measure for s in sample.snapshots]
+    if isinstance(functional, PredictiveDensityAt):
+        step = max(1, PREDICTIVE_CHUNK // (len(functional.points) * measures[0].G))
+        values = np.concatenate(
+            [_predictive_densities(measures[i : i + step], functional.points)
+             for i in range(0, len(measures), step)]
+        )
+    else:
+        values = np.array([_evaluate_functional(functional, m) for m in measures])
     qs = (2.5, 25.0, 50.0, 75.0, 97.5)
     quantiles = {f"{q:g}%": np.percentile(values, q, axis=0) for q in qs}
     return SummaryStatistics(values=values, mean=values.mean(axis=0), quantiles=quantiles)
@@ -311,11 +371,19 @@ class EvidenceConfig:
 
 @dataclass(frozen=True)
 class EvidenceEstimate:
-    """Monte-Carlo estimate of log p(y | G) with a delta-method standard error."""
+    """Monte-Carlo estimate of log p(y | G) with a delta-method standard error.
+
+    ``ess`` is the Kish effective sample size (sum w)^2 / sum w^2 of the
+    prior draws' likelihood weights w, and ``max_weight_share`` the largest
+    single weight over their sum: an ess near 1 (a share near 1) means one
+    draw carries the whole estimate, whatever ``log_se`` says.
+    """
 
     log_value: float
     log_se: float
     underflowed: bool
+    ess: float = math.nan
+    max_weight_share: float = math.nan
 
     def __float__(self):
         return self.log_value
@@ -332,13 +400,17 @@ def _prior_parameter_draws(prior, rng, m):
 
 
 def _loglik_of_draws(data, etas, mus, sigmas):
-    """Vectorized mixture log-likelihood for a batch of parameter draws."""
-    y = np.asarray(data, dtype=float)[:, None, None]
-    z = (y - mus[None, :, :]) / sigmas[None, :, :]
-    comp_log = -0.5 * z * z - np.log(sigmas)[None, :, :] - 0.5 * _LOG_TWO_PI
+    """Vectorized mixture log-likelihood for a batch of parameter draws.
+
+    The (n, draws, G) matrix is laid out atom-major, as a (G, n, draws)
+    block, so the reduction across atoms reads contiguous slices.
+    """
+    y = np.asarray(data, dtype=float)[None, :, None]
+    z = (y - mus.T[:, None, :]) / sigmas.T[:, None, :]
+    comp_log = -0.5 * z * z - np.log(sigmas).T[:, None, :] - 0.5 * _LOG_TWO_PI
     with np.errstate(divide="ignore"):
-        comp_log = comp_log + np.log(etas)[None, :, :]
-    return _logsumexp(comp_log).sum(axis=0)
+        comp_log += np.log(etas).T[:, None, :]
+    return _logsumexp(np.moveaxis(comp_log, 0, -1)).sum(axis=0)
 
 
 def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
@@ -355,7 +427,9 @@ def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
     m = config.n_prior_draws
     etas, mus, sigmas = _prior_parameter_draws(prior, rng, m)
     if len(arr) == 0:
-        return EvidenceEstimate(log_value=0.0, log_se=0.0, underflowed=False)
+        return EvidenceEstimate(
+            log_value=0.0, log_se=0.0, underflowed=False, ess=float(m), max_weight_share=1.0 / m
+        )
     lls = np.empty(m)
     chunk = max(1, int(4_000_000 / max(len(arr) * G, 1)))
     for start in range(0, m, chunk):
@@ -364,12 +438,19 @@ def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
     top = lls.max()
     if np.isneginf(top):
         warnings.warn("every prior draw underflowed the likelihood", RuntimeWarning)
-        return EvidenceEstimate(log_value=-math.inf, log_se=math.nan, underflowed=True)
+        return EvidenceEstimate(log_value=-math.inf, log_se=math.nan, underflowed=True, ess=0.0)
     w = np.exp(lls - top)
     mean_w = w.mean()
     log_value = float(_logsumexp(lls) - math.log(m))
     log_se = float(w.std(ddof=1) / (mean_w * math.sqrt(m)))
-    return EvidenceEstimate(log_value=log_value, log_se=log_se, underflowed=False)
+    total = math.fsum(w.tolist())
+    return EvidenceEstimate(
+        log_value=log_value,
+        log_se=log_se,
+        underflowed=False,
+        ess=total * total / math.fsum((w * w).tolist()),
+        max_weight_share=float(w.max()) / total,
+    )
 
 
 def combine_log_marginals(log_marginals, prior_on_G):

@@ -70,6 +70,8 @@ EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
 ENV_SEED = "MIXKIT_SEED"
+# select-g warns when an evidence estimate rests on fewer effective prior draws
+EVIDENCE_ESS_FLOOR = 10.0
 
 
 def _fmt(value):
@@ -324,6 +326,17 @@ def _gibbs_outputs(args, data, sample, grid):
     return report, "\n".join(chain_lines) + "\n", pred_rows
 
 
+def _warn_em(state):
+    """One stderr line for a soft-EM fit that did not converge or re-seeded components."""
+    notes = []
+    if not state.converged:
+        notes.append(f"did not converge in {state.iteration} iterations")
+    if state.reseeds:
+        events = ", ".join(f"component {g} at iteration {it}" for it, g in state.reseeds)
+        notes.append(f"re-seeded {events}")
+    print(f"mixkit: warning: em {'; '.join(notes)}", file=sys.stderr)
+
+
 def _cmd_fit(args, argv):
     started = time.monotonic()
     seed = _resolve_seed(args)
@@ -348,6 +361,8 @@ def _cmd_fit(args, argv):
         )
         runner = run_em if args.method == "em" else run_hard_em
         state = runner(data, G, family, config)
+        if args.method == "em" and (not state.converged or state.reseeds):
+            _warn_em(state)
         report = fit_report(state, config)
         report["method"] = args.method
         report["n_observations"] = len(data)
@@ -359,7 +374,12 @@ def _cmd_fit(args, argv):
             report["config"],
             inputs=[args.data],
             outputs=[args.out],
-            extra={"final_loglik": state.loglik, "iterations": state.iteration},
+            extra={
+                "final_loglik": state.loglik,
+                "iterations": state.iteration,
+                "converged": state.converged,
+                "reseeds": [list(event) for event in state.reseeds],
+            },
             started=started,
         )
         return EXIT_OK
@@ -424,6 +444,14 @@ def _cmd_select_g(args, argv):
     posterior = combine_log_marginals([e.log_value for e in estimates], prior_on_G)
     rows = [(G, e.log_value, p) for G, e, p in zip(sizes, estimates, posterior)]
     _write_csv(args.out, ["G", "log_marginal", "posterior"], rows)
+    thin = [f"G={G} ({e.ess:.3g})" for G, e in zip(sizes, estimates) if not e.ess >= EVIDENCE_ESS_FLOOR]
+    if thin:
+        print(
+            f"mixkit: warning: evidence for {', '.join(thin)} rests on an effective sample size "
+            f"below {EVIDENCE_ESS_FLOOR:g} of {args.prior_draws} prior draws; "
+            "its log_marginal is unreliable",
+            file=sys.stderr,
+        )
     _write_manifest(
         args.out,
         argv,
@@ -434,6 +462,8 @@ def _cmd_select_g(args, argv):
         extra={
             "standard_errors": [e.log_se for e in estimates],
             "underflowed": [e.underflowed for e in estimates],
+            "effective_sample_sizes": [e.ess for e in estimates],
+            "max_weight_shares": [e.max_weight_share for e in estimates],
             "posterior_sum": math.fsum(posterior.tolist()),
         },
         started=started,

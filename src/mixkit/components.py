@@ -19,6 +19,17 @@ from .errors import DomainError, SpecDocumentError
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
+def _logs(values):
+    """math.log of each entry of a 1-D array (-inf for 0), the bits of a
+    single component's math.log."""
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in values.tolist()])
+
+
+def _atom_rows(values, y_ndim):
+    """A (G,) parameter array shaped to broadcast one row per atom against y."""
+    return values.reshape(values.shape + (1,) * y_ndim)
+
+
 @dataclass(frozen=True)
 class UnivariateNormal:
     """Normal density on the real line with mean ``mu`` and sd ``sigma``."""
@@ -40,11 +51,17 @@ class UnivariateNormal:
     def sort_key(self):
         return (self.mu, self.sigma)
 
+    @staticmethod
+    def _log_density_rows(mu, sigma, y):
+        """log densities of the Normals with parameter arrays ``mu``, ``sigma``
+        at ``y``: shape (G, *y.shape), one row per atom."""
+        z = (y - _atom_rows(mu, y.ndim)) / _atom_rows(sigma, y.ndim)
+        return -0.5 * z * z - _atom_rows(_logs(sigma), y.ndim) - 0.5 * _LOG_TWO_PI
+
     def log_density(self, y):
         y = np.asarray(y, dtype=float)
         with np.errstate(over="ignore"):
-            z = (y - self.mu) / self.sigma
-            return -0.5 * z * z - math.log(self.sigma) - 0.5 * _LOG_TWO_PI
+            return self._log_density_rows(np.array([self.mu]), np.array([self.sigma]), y)[0]
 
     def density(self, y):
         return np.exp(self.log_density(y))
@@ -101,16 +118,21 @@ class BivariateNormal:
         (a, b), (_, d) = self.cov
         return a, b, d, a * d - b * b
 
+    @staticmethod
+    def _log_density_rows(mean, cov, y):
+        """log densities of the planar Normals with parameter arrays ``mean``
+        (G, 2) and ``cov`` (G, 2, 2) at points ``y`` (..., 2): shape (G, ...)."""
+        rows = lambda values: _atom_rows(values, y.ndim - 1)  # noqa: E731
+        a, b, d = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+        det = a * d - b * b
+        u = y[..., 0] - rows(mean[:, 0])
+        v = y[..., 1] - rows(mean[:, 1])
+        quad = (rows(d) * u * u - rows(2.0 * b) * u * v + rows(a) * v * v) / rows(det)
+        return rows(-_LOG_TWO_PI - 0.5 * _logs(det)) - 0.5 * quad
+
     def log_density(self, y):
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 1
-        pts = y.reshape(-1, 2)
-        a, b, d, det = self._shape()
-        u = pts[:, 0] - self.mean[0]
-        v = pts[:, 1] - self.mean[1]
-        quad = (d * u * u - 2.0 * b * u * v + a * v * v) / det
-        out = -_LOG_TWO_PI - 0.5 * math.log(det) - 0.5 * quad
-        return out[0] if scalar else out
+        return self._log_density_rows(np.array([self.mean]), np.array([self.cov]), y)[0]
 
     def density(self, y):
         return np.exp(self.log_density(y))
@@ -168,9 +190,17 @@ class Poisson:
     def sort_key(self):
         return (self.lam,)
 
-    def log_density(self, y):
+    @staticmethod
+    def _log_density_rows(lam, y, log_fact=None):
+        """log pmfs of the Poissons with rates ``lam`` at counts ``y``: shape
+        (G, *y.shape).  ``log_fact`` is log y!, when the caller has it."""
         y = np.asarray(y, dtype=float)
-        return y * math.log(self.lam) - self.lam - gammaln(y + 1.0)
+        if log_fact is None:
+            log_fact = gammaln(y + 1.0)
+        return y * _atom_rows(_logs(lam), y.ndim) - _atom_rows(lam, y.ndim) - log_fact
+
+    def log_density(self, y):
+        return self._log_density_rows(np.array([self.lam]), y)[0]
 
     def density(self, y):
         return np.exp(self.log_density(y))

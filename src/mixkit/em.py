@@ -16,10 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import BivariateNormal, Poisson, UnivariateNormal, validate_observations
+from .components import validate_observations
 from .errors import DegeneratePointError, DomainError, EmptyComponentError
 from .models import MixingMeasure, MixtureModel, canonicalize, log_weighted_densities, model_to_dict
-from .models import _component_log_densities, _logsumexp
+from .models import (
+    _atom_sum,
+    _component_log_densities,
+    _log_factorials,
+    _logs,
+    _logsumexp,
+    _measure_from_params,
+    _measure_params,
+)
 
 POISSON_RATE_FLOOR = 1e-8
 EMPTY_RESPONSIBILITY = 1e-300
@@ -61,33 +69,40 @@ class EMConfig:
 
 @dataclass(frozen=True)
 class EMState:
-    """Result of a run: fitted model, responsibilities, trace, stop reason."""
+    """Result of a run: fitted model, responsibilities, trace, stop reason.
+
+    ``reseeds`` lists the (iteration, 1-based component) pairs at which an
+    emptied component was re-seeded at a random data point.
+    """
 
     model: MixtureModel
     responsibilities: np.ndarray
     loglik_trace: tuple
     iteration: int
     converged: bool
+    reseeds: tuple = ()
 
     @property
     def loglik(self):
         return self.loglik_trace[-1]
 
 
-def _responsibilities_and_loglik(model, data):
-    L = log_weighted_densities(model, data)
+def _responsibilities(L):
+    """Posterior allocation probabilities from the weighted (n, G) matrix, and
+    the per-point log mixture density they were normalised by."""
     norm = _logsumexp(L)
     bad = np.flatnonzero(np.isneginf(norm))
     if bad.size:
         raise DegeneratePointError(int(bad[0]))
-    r = np.exp(L - norm[:, None])
-    r /= r.sum(axis=1, keepdims=True)
-    return r, math.fsum(norm.tolist())
+    r = L - norm[:, None]
+    np.exp(r, out=r)
+    r /= _atom_sum(r)[:, None]
+    return r, norm
 
 
 def e_step(model, data):
     """Posterior allocation probabilities, one row per observation."""
-    r, _ = _responsibilities_and_loglik(model, data)
+    r, _ = _responsibilities(log_weighted_densities(model, data))
     return r
 
 
@@ -112,46 +127,51 @@ def _check_row_stochastic(r, n):
     return r
 
 
-def _m_step_core(data, r, family, floor):
-    """Weighted maximum-likelihood update; returns (weights, components, empty)."""
+def _m_step_arrays(data, r, family, floor):
+    """Weighted maximum-likelihood update on arrays.
+
+    Returns (weights, params, empty): unnormalised weights, the family's
+    parameter arrays (see models._measure_params) and the 0-based indices of
+    components whose total responsibility underflowed.
+    """
     n = len(data)
-    totals = r.sum(axis=0)
+    rT = r.T  # (G, n): contiguous rows when r is atom-major
+    totals = rT.sum(axis=1)
     empty = np.flatnonzero(totals < EMPTY_RESPONSIBILITY)
     safe = np.where(totals < EMPTY_RESPONSIBILITY, 1.0, totals)
     weights = totals / n
-    comps = []
     if family == "normal":
         y = np.asarray(data, dtype=float)
-        mus = (r * y[:, None]).sum(axis=0) / safe
-        dev = y[:, None] - mus[None, :]
-        vars_ = (r * dev * dev).sum(axis=0) / safe
-        vars_ = np.maximum(vars_, floor)
-        comps = [UnivariateNormal(m, math.sqrt(v)) for m, v in zip(mus, vars_)]
+        mus = (rT * y).sum(axis=1) / safe
+        dev = y - mus[:, None]
+        vars_ = (rT * dev * dev).sum(axis=1) / safe
+        params = (mus, np.sqrt(np.maximum(vars_, floor)))
     elif family == "poisson":
         y = np.asarray(data, dtype=float)
-        lams = np.maximum((r * y[:, None]).sum(axis=0) / safe, POISSON_RATE_FLOOR)
-        comps = [Poisson(l) for l in lams]
+        params = (np.maximum((rT * y).sum(axis=1) / safe, POISSON_RATE_FLOOR),)
     elif family == "bivariate_normal":
         Y = np.asarray(data, dtype=float)
-        for g in range(r.shape[1]):
+        G = r.shape[1]
+        means, covs = np.empty((G, 2)), np.empty((G, 2, 2))
+        for g in range(G):
             rg = r[:, g]
-            mean = rg @ Y / safe[g]
-            dev = Y - mean
-            cov = (rg[:, None] * dev).T @ dev / safe[g]
-            cov = _floor_eigenvalues(cov, floor)
-            comps.append(BivariateNormal(tuple(mean), tuple(map(tuple, cov))))
+            means[g] = rg @ Y / safe[g]
+            dev = Y - means[g]
+            covs[g] = _floor_eigenvalues((rg[:, None] * dev).T @ dev / safe[g], floor)
+        params = (means, covs)
     else:
         raise DomainError(f"unknown family {family!r}")
-    return weights, comps, empty
+    return weights, params, empty
 
 
 def _floor_eigenvalues(cov, floor):
+    """Symmetric copy of ``cov`` with eigenvalues raised to at least ``floor``."""
     cov = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(cov)
-    if vals[0] >= floor:
-        return cov
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+    if vals[0] < floor:
+        cov = (vecs * np.maximum(vals, floor)) @ vecs.T
+    cov[1, 0] = cov[0, 1]
+    return cov
 
 
 def m_step(data, r, family, config=EMConfig()):
@@ -165,133 +185,153 @@ def m_step(data, r, family, config=EMConfig()):
     arr = validate_observations(family, data)
     r = _check_row_stochastic(r, len(arr))
     floor = resolve_variance_floor(arr, family, config)
-    weights, comps, empty = _m_step_core(arr, r, family, floor)
+    weights, params, empty = _m_step_arrays(arr, r, family, floor)
     if empty.size:
         raise EmptyComponentError(int(empty[0]) + 1)
-    weights = weights / weights.sum()
-    return MixingMeasure(tuple(zip(weights.tolist(), comps)))
+    return _measure_from_params(family, weights / weights.sum(), params)
 
 
-def _pooled_component(data, family, floor):
+def _params_at_points(points, data, family, floor):
+    """Parameter arrays of components centred at ``points`` with the data's spread."""
     arr = np.asarray(data, dtype=float)
+    points = np.asarray(points, dtype=float)
+    k = len(points)
     if family == "normal":
-        return UnivariateNormal(float(arr.mean()), math.sqrt(max(float(arr.var()), floor)))
+        return points, np.full(k, math.sqrt(max(float(arr.var()), floor)))
     if family == "poisson":
-        return Poisson(max(float(arr.mean()), POISSON_RATE_FLOOR))
-    mean = arr.mean(axis=0)
+        return (np.maximum(points, POISSON_RATE_FLOOR),)
     cov = _floor_eigenvalues(np.cov(arr.T, ddof=0), floor)
-    return BivariateNormal(tuple(mean), tuple(map(tuple, cov)))
+    return points, np.broadcast_to(cov, (k, 2, 2)).copy()
 
 
-def _component_at_point(point, data, family, floor):
-    arr = np.asarray(data, dtype=float)
-    if family == "normal":
-        return UnivariateNormal(float(point), math.sqrt(max(float(arr.var()), floor)))
-    if family == "poisson":
-        return Poisson(max(float(point), POISSON_RATE_FLOOR))
-    cov = _floor_eigenvalues(np.cov(arr.T, ddof=0), floor)
-    return BivariateNormal(tuple(np.asarray(point, dtype=float)), tuple(map(tuple, cov)))
-
-
-def _initial_measure(data, G, family, config, rng, floor):
+def _initial_params(data, G, family, config, rng, floor):
+    """(weights, parameter arrays) a run starts from."""
     init = config.init
     if isinstance(init, MixingMeasure):
         if init.G != G or init.family != family:
             raise DomainError("supplied initial measure does not match G and family")
-        return init
+        return init.weights, _measure_params(init)
     if init == "random-responsibilities":
         r = rng.dirichlet(np.ones(G), size=len(data))
-        weights, comps, empty = _m_step_core(data, r, family, floor)
+        weights, params, empty = _m_step_arrays(data, r, family, floor)
         if empty.size:
             raise EmptyComponentError(int(empty[0]) + 1)
-        return MixingMeasure(tuple(zip((weights / weights.sum()).tolist(), comps)))
+        return weights / weights.sum(), params
     if init == "k-points":
         uniq = np.unique(np.asarray(data, dtype=float), axis=0)
         if len(uniq) < G:
             raise DomainError(f"need at least {G} distinct data points to seed {G} components")
         picks = uniq[rng.choice(len(uniq), size=G, replace=False)]
-        comps = [_component_at_point(p, data, family, floor) for p in picks]
-        weights = np.full(G, 1.0 / G)
-        return MixingMeasure(tuple(zip(weights.tolist(), comps)))
+        return np.full(G, 1.0 / G), _params_at_points(picks, data, family, floor)
     raise DomainError(f"unknown init {init!r}")
 
 
-def _reseed_empty(weights, comps, empty, data, family, floor, rng):
+def _reseed_empty(weights, params, empty, data, family, floor, rng):
     """Replace collapsed components by fresh seeds at random data points."""
     n = len(data)
+    picks = np.asarray(data, dtype=float)[[rng.integers(n) for _ in empty]]
+    for p, fresh in zip(params, _params_at_points(picks, data, family, floor)):
+        p[empty] = fresh
     weights = weights.copy()
-    comps = list(comps)
-    for g in empty:
-        point = np.asarray(data, dtype=float)[rng.integers(n)]
-        comps[g] = _component_at_point(point, data, family, floor)
-        weights[g] = 1.0 / n
-    weights = weights / weights.sum()
-    return MixingMeasure(tuple(zip(weights.tolist(), comps)))
+    weights[empty] = 1.0 / n
+    return weights / weights.sum()
 
 
-def _single_em_run(data, G, family, config, rng, reseed_allowed):
-    floor = resolve_variance_floor(data, family, config)
-    model = MixtureModel(_initial_measure(data, G, family, config, rng, floor))
-    r, ll = _responsibilities_and_loglik(model, data)
+def _single_em_run(data, G, family, config, rng, reseed_allowed, floor, log_fact):
+    """One seeded run on parameter arrays; objects are built for the result only."""
+    weights, params = _initial_params(data, G, family, config, rng, floor)
+    L = _component_log_densities(family, params, data, log_fact) + _logs(weights)
+    r, norm = _responsibilities(L)
+    ll = math.fsum(norm.tolist())
     trace = [ll]
+    reseeds = []
     converged = False
     for _ in range(config.max_iter):
-        weights, comps, empty = _m_step_core(data, r, family, floor)
+        weights, params, empty = _m_step_arrays(data, r, family, floor)
         if empty.size:
             if not reseed_allowed:
                 raise EmptyComponentError(
                     int(empty[0]) + 1,
                     f"component {int(empty[0]) + 1} emptied at iteration {len(trace)}",
                 )
-            measure = _reseed_empty(weights, comps, empty, data, family, floor, rng)
+            reseeds += [(len(trace), int(g) + 1) for g in empty]
+            weights = _reseed_empty(weights, params, empty, data, family, floor, rng)
         else:
-            measure = MixingMeasure(tuple(zip((weights / weights.sum()).tolist(), comps)))
-        model = MixtureModel(measure)
-        r, ll_new = _responsibilities_and_loglik(model, data)
+            weights = weights / weights.sum()
+        L = _component_log_densities(family, params, data, log_fact) + _logs(weights)
+        r, norm = _responsibilities(L)
+        ll_new = math.fsum(norm.tolist())
         trace.append(ll_new)
         if abs(ll_new - ll) / (1.0 + abs(ll_new)) < config.tol:
             converged = True
             break
         ll = ll_new
     return EMState(
-        model=model,
+        model=MixtureModel(_measure_from_params(family, weights, params)),
         responsibilities=r,
         loglik_trace=tuple(trace),
         iteration=len(trace) - 1,
         converged=converged,
+        reseeds=tuple(reseeds),
     )
 
 
-def run_em(data, G, family="normal", config=EMConfig()):
-    """Fit a G-component mixture, keeping the best of the seeded restarts."""
+def _validated_fit_input(data, G, family):
     arr = validate_observations(family, data)
     G = int(G)
     if G < 1:
         raise DomainError("G must be at least 1")
     if len(arr) < G:
         raise DomainError("need at least G observations")
+    return arr, G
+
+
+def run_em(data, G, family="normal", config=EMConfig()):
+    """Fit a G-component mixture, keeping the best of the seeded restarts."""
+    arr, G = _validated_fit_input(data, G, family)
+    floor = resolve_variance_floor(arr, family, config)
+    log_fact = _log_factorials(family, arr)
     runs = max(config.restarts, 1)
     reseed_allowed = config.restarts > 0
     children = np.random.SeedSequence(config.seed).spawn(runs)
     best = None
     for child in children:
-        state = _single_em_run(arr, G, family, config, np.random.default_rng(child), reseed_allowed)
+        rng = np.random.default_rng(child)
+        state = _single_em_run(arr, G, family, config, rng, reseed_allowed, floor, log_fact)
         if best is None or state.loglik > best.loglik:
             best = state
     return best
 
 
+def _atom_argmax(L):
+    """np.argmax(L, axis=1) as one pass per atom column; ties go to the lowest."""
+    best = L[:, 0].copy()
+    idx = np.zeros(len(L), dtype=np.int64)
+    for g in range(1, L.shape[1]):
+        col = L[:, g]
+        better = col > best
+        idx[better] = g
+        np.maximum(best, col, out=best)
+    return idx
+
+
 def hard_allocations(model, data):
     """1-based labels maximizing the component density; ties go to the lowest."""
     arr = validate_observations(model.family, data)
-    return np.argmax(_component_log_densities(model, arr), axis=1) + 1
+    L = _component_log_densities(model.family, _measure_params(model.measure), arr)
+    return _atom_argmax(L) + 1
 
 
-def _hard_step(model, arr):
+def _hard_step(L):
     """Argmax labels and the classification log-likelihood, from one matrix."""
-    L = _component_log_densities(model, arr)
-    idx = np.argmax(L, axis=1)
-    return idx + 1, math.fsum(L[np.arange(len(arr)), idx].tolist())
+    idx = _atom_argmax(L)
+    return idx + 1, math.fsum(L[np.arange(len(L)), idx].tolist())
+
+
+def _one_hot(z, G):
+    onehot = np.zeros((len(z), G), order="F")
+    onehot[np.arange(len(z)), z - 1] = 1.0
+    return onehot
 
 
 def run_hard_em(data, G, family="normal", config=EMConfig()):
@@ -300,44 +340,35 @@ def run_hard_em(data, G, family="normal", config=EMConfig()):
     Stops once the allocation vector stops changing.  An empty group raises
     EmptyComponentError; the trace holds the classification log-likelihood.
     """
-    arr = validate_observations(family, data)
-    G = int(G)
-    if G < 1:
-        raise DomainError("G must be at least 1")
-    if len(arr) < G:
-        raise DomainError("need at least G observations")
+    arr, G = _validated_fit_input(data, G, family)
+    floor = resolve_variance_floor(arr, family, config)
+    log_fact = _log_factorials(family, arr)
     runs = max(config.restarts, 1)
     children = np.random.SeedSequence(config.seed).spawn(runs)
-    floor = resolve_variance_floor(arr, family, config)
     best = None
     for child in children:
         rng = np.random.default_rng(child)
-        model = MixtureModel(_initial_measure(arr, G, family, config, rng, floor))
-        z, ll = _hard_step(model, arr)
+        weights, params = _initial_params(arr, G, family, config, rng, floor)
+        z, ll = _hard_step(_component_log_densities(family, params, arr, log_fact))
         trace = [ll]
         converged = False
         for _ in range(config.max_iter):
-            onehot = np.zeros((len(arr), G))
-            onehot[np.arange(len(arr)), z - 1] = 1.0
-            weights, comps, empty = _m_step_core(arr, onehot, family, floor)
+            weights, params, empty = _m_step_arrays(arr, _one_hot(z, G), family, floor)
             if empty.size:
                 raise EmptyComponentError(
                     int(empty[0]) + 1,
                     f"group {int(empty[0]) + 1} emptied after reallocation",
                 )
-            model = MixtureModel(MixingMeasure(tuple(zip((weights / weights.sum()).tolist(), comps))))
-            z_new, ll = _hard_step(model, arr)
+            weights = weights / weights.sum()
+            z_new, ll = _hard_step(_component_log_densities(family, params, arr, log_fact))
             trace.append(ll)
-            if np.array_equal(z_new, z):
-                converged = True
-                z = z_new
-                break
+            converged = np.array_equal(z_new, z)
             z = z_new
-        onehot = np.zeros((len(arr), G))
-        onehot[np.arange(len(arr)), z - 1] = 1.0
+            if converged:
+                break
         state = EMState(
-            model=model,
-            responsibilities=onehot,
+            model=MixtureModel(_measure_from_params(family, weights, params)),
+            responsibilities=_one_hot(z, G),
             loglik_trace=tuple(trace),
             iteration=len(trace) - 1,
             converged=converged,

@@ -6,8 +6,10 @@ The mixture density is the weight-weighted sum of component densities, and
 every label-free comparison of two measures goes through :func:`canonicalize`.
 
 Mixture densities are computed here only: every other module (em, bayes,
-modes, cli) builds the component matrix with :func:`log_weighted_densities`
-and reduces it across atoms with the order-invariant :func:`_logsumexp`.
+modes, cli) builds the component matrix with :func:`log_weighted_densities`,
+or, in the fit loops, with the array-level kernel it calls
+(:func:`_component_log_densities` on parameter arrays), and reduces it across
+atoms with the order-invariant :func:`_logsumexp`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
-from .components import FAMILIES, component_from_dict, validate_observations
+from .components import FAMILIES, _logs, component_from_dict, validate_observations
 from .errors import DomainError, InvalidMeasureError, SpecDocumentError
 
 WEIGHT_SUM_TOL = 1e-12
@@ -154,42 +157,122 @@ def log_density(model, y):
     return float(_logsumexp(log_weighted_densities(model, arr))[0])
 
 
+# numpy's add.reduce sums a contiguous row of fewer than this many terms
+# left to right from +0.0 (pairwise, with eight accumulators, beyond it), so
+# below it a fold over the atom columns gives ndarray.sum(axis=-1) bit for bit.
+_ROW_FOLD_LIMIT = 8
+
+
+def _sort_atoms(terms):
+    """Sort every row of ``terms`` in place along the last (atom) axis.
+
+    Fewer than _ROW_FOLD_LIMIT atoms sort with an odd-even transposition
+    network of np.minimum/np.maximum over the atom columns: G vectorised
+    passes per round instead of one tiny sort per row, with the same sorted
+    values np.sort gives.
+    """
+    G = terms.shape[-1]
+    if G >= _ROW_FOLD_LIMIT:
+        terms.sort(axis=-1)
+        return
+    low = np.empty_like(terms[..., 0])
+    for start in range(G):
+        for i in range(start % 2, G - 1, 2):
+            left, right = terms[..., i], terms[..., i + 1]
+            np.minimum(left, right, out=low)
+            np.maximum(left, right, out=right)
+            left[...] = low
+
+
+def _atom_sum(terms):
+    """``terms.sum(axis=-1)`` bit for bit, one pass per atom column below _ROW_FOLD_LIMIT."""
+    G = terms.shape[-1]
+    if G >= _ROW_FOLD_LIMIT:
+        return np.ascontiguousarray(terms).sum(axis=-1)
+    total = 0.0 + terms[..., 0]
+    for g in range(1, G):
+        total += terms[..., g]
+    return total
+
+
 def _logsumexp(a):
     """log(sum(exp(a))) over the last axis; a row of -inf gives -inf.
 
     The shifted exponentials are sorted before they are summed, so each
     result depends only on the multiset of its row: relabeling atoms cannot
-    change a single bit.
+    change a single bit.  On the atom axis of a matrix the sort and the sum
+    run over atom columns (see _sort_atoms, _atom_sum), which an atom-major
+    matrix holds contiguously.  A 1-D input (the prior-draw vector of the
+    evidence, the G-range of the posterior over G) is one long row and keeps
+    np.sort.
     """
-    top = a.max(axis=-1, keepdims=True)
-    shift = np.where(np.isfinite(top), top, 0.0)
+    shift = a.max(axis=-1, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
     terms = a - shift
     np.exp(terms, out=terms)
-    terms.sort(axis=-1)
+    if a.ndim == 1:
+        terms.sort()
+        total = terms.sum(keepdims=True)
+    else:
+        _sort_atoms(terms)
+        total = _atom_sum(terms)
     with np.errstate(divide="ignore"):
-        return np.log(terms.sum(axis=-1)) + shift[..., 0]
+        np.log(total, out=total)
+    total += shift[..., 0]
+    return total[0] if a.ndim == 1 else total
 
 
-def _component_log_densities(model, arr):
-    """Unweighted matrix of log f(y_i | theta_g), shape (n, G); hard EM reads it directly.
+def _measure_params(measure):
+    """The family's parameter arrays of a measure, in atom order.
 
-    ``arr`` must already be validated for the model family."""
-    out = np.empty((arr.shape[0], model.G))
-    with np.errstate(divide="ignore"):
-        for g, c in enumerate(model.measure.components):
-            out[:, g] = c.log_density(arr)
-    return out
+    Normal ``(mu[G], sigma[G])``, Poisson ``(lam[G],)``, bivariate Normal
+    ``(mean[G, 2], cov[G, 2, 2])``: the form EM, hard EM and Gibbs iterate on.
+    """
+    comps = measure.components
+    if measure.family == "normal":
+        return np.array([c.mu for c in comps]), np.array([c.sigma for c in comps])
+    if measure.family == "poisson":
+        return (np.array([c.lam for c in comps]),)
+    return np.array([c.mean for c in comps]), np.array([c.cov for c in comps])
+
+
+def _measure_from_params(family, weights, params):
+    """Validated MixingMeasure from weights and the family's parameter arrays."""
+    cls = FAMILIES[family]
+    comps = [cls(*(p[g] for p in params)) for g in range(len(weights))]
+    return MixingMeasure(tuple(zip(weights.tolist(), comps)))
+
+
+def _log_factorials(family, arr):
+    """log y! of Poisson counts, for callers that evaluate the kernel many times; else None."""
+    return gammaln(arr + 1.0) if family == "poisson" else None
+
+
+def _component_log_densities(family, params, arr, log_fact=None):
+    """Unweighted matrix of log f(y_i | theta_g), shape (n, G), atom-major.
+
+    The array-level kernel behind every mixture density: ``params`` are the
+    family's parameter arrays (see _measure_params) and ``arr`` observations
+    already validated for the family.  The family's rows (one per atom, the
+    formulas of the component classes) are transposed into a Fortran-order
+    matrix, so each atom's column is contiguous and every reduction across
+    atoms runs as G vectorised passes.  ``log_fact`` is the Poisson log y!,
+    when the caller has it (see _log_factorials).
+    """
+    extra = () if log_fact is None else (log_fact,)
+    with np.errstate(over="ignore", divide="ignore"):
+        return FAMILIES[family]._log_density_rows(*params, arr, *extra).T
 
 
 def log_weighted_densities(model, data):
-    """Matrix of log(eta_g) + log f(y_i | theta_g), shape (n, G).
+    """Matrix of log(eta_g) + log f(y_i | theta_g), shape (n, G), atom-major.
 
-    The shared kernel of log_density, log_likelihood, the E-step (hence the
-    Gibbs allocations), the predictive density, the density table and modes.
+    The shared kernel of log_density, log_likelihood, the E-step, the
+    predictive density, the density table and modes.
     """
     arr = validate_observations(model.family, data)
-    log_w = np.array([math.log(w) if w > 0.0 else -math.inf for w, _ in model.measure.atoms])
-    return _component_log_densities(model, arr) + log_w
+    measure = model.measure
+    return _component_log_densities(model.family, _measure_params(measure), arr) + _logs(measure.weights)
 
 
 def log_likelihood(model, data):

@@ -252,3 +252,54 @@ def test_posterior_over_G_prefers_the_truth(two_normal_separated):
     )
     assert math.fsum(post.tolist()) == pytest.approx(1.0, abs=1e-12)
     assert post[1] > 0.9
+
+
+def test_run_gibbs_chain_equals_repeated_public_sweeps(two_normal_separated):
+    from mixkit.bayes import GibbsState
+
+    data = mk.sample_mixture(two_normal_separated, 300, 75).data
+    prior = mk.ConjugatePrior((1.0, 1.0, 1.0), 0.0, 10.0, 2.0, 4.0)
+    config = mk.GibbsConfig(burn_in=15, n_samples=20, thin=2, seed=21)
+    post = mk.run_gibbs(data, 3, prior, config)
+    rng = np.random.default_rng(config.seed)
+    start = mk.prior_draw(prior, rng)
+    state = GibbsState(z=np.ones(len(data), dtype=np.int64), measure=start, iteration=0)
+    kept = []
+    for sweep in range(1, config.burn_in + config.n_samples * config.thin + 1):
+        state = mk.gibbs_sweep(state, data, prior, rng)
+        if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
+            kept.append(state)
+    assert len(kept) == len(post)
+    for a, b in zip(post.snapshots, kept):
+        assert a.iteration == b.iteration
+        assert a.measure == b.measure
+        assert np.array_equal(a.z, b.z)
+
+
+def test_batched_predictive_equals_per_snapshot_bitwise(two_normal_separated):
+    from mixkit.bayes import _evaluate_functional
+
+    data = mk.sample_mixture(two_normal_separated, 200, 77).data
+    prior = mk.default_prior(data, 3)
+    post = mk.run_gibbs(data, 3, prior, mk.GibbsConfig(burn_in=20, n_samples=40, seed=3))
+    fn = mk.PredictiveDensityAt(tuple(np.linspace(-6.0, 6.0, 33)))
+    per_snapshot = np.array([_evaluate_functional(fn, s.measure) for s in post.snapshots])
+    for s in post.snapshots[:5]:
+        L = mk.log_weighted_densities(mk.MixtureModel(s.measure), fn.points)
+        direct = np.exp(mk.models._logsumexp(L))
+        assert np.array_equal(_evaluate_functional(fn, s.measure), direct)
+    assert np.array_equal(mk.summarize_H(post, fn).values, per_snapshot)
+
+
+def test_evidence_reports_kish_effective_sample_size(flat_prior):
+    config = mk.EvidenceConfig(n_prior_draws=2000, seed=4)
+    few = mk.log_marginal_likelihood(np.array([0.3, -0.2]), 2, flat_prior, config)
+    many = mk.log_marginal_likelihood(np.linspace(-2.0, 2.0, 400), 2, flat_prior, config)
+    for est in (few, many):
+        # sum w^2 <= max w * sum w, so (sum w)^2 / sum w^2 lies between
+        # 1 / (max w / sum w) >= 1 and the draw count
+        assert 1.0 <= 1.0 / est.max_weight_share <= est.ess * (1.0 + 1e-12)
+        assert est.ess <= 2000 * (1.0 + 1e-12)
+    assert few.ess > many.ess
+    empty = mk.log_marginal_likelihood(np.array([]), 2, flat_prior, config)
+    assert empty.ess == 2000 and empty.max_weight_share == 1.0 / 2000

@@ -219,6 +219,54 @@ def test_select_g_table(tmp_path, spec_file):
     assert [float(r["posterior"]) for r in rows] == want.tolist()
 
 
+def test_fit_em_reports_convergence_and_reseeds(tmp_path, spec_file, capsys):
+    sim = str(tmp_path / "sim.csv")
+    main(["simulate", "--spec", spec_file, "--n", "300", "--seed", "7", "--out", sim])
+    capsys.readouterr()
+    out = str(tmp_path / "fit.json")
+    assert main(["fit", "--method", "em", "--data", sim, "--G", "2", "--seed", "5", "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    extra = json.loads(open(out + ".manifest.json").read())["extra"]
+    assert extra["converged"] is True and extra["reseeds"] == []
+    assert main(["fit", "--method", "em", "--data", sim, "--G", "2", "--seed", "5", "--max-iter", "3",
+                 "--out", out]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["mixkit: warning: em did not converge in 3 iterations"]
+    report = json.loads(open(out).read())
+    extra = json.loads(open(out + ".manifest.json").read())["extra"]
+    assert extra["converged"] is False and report["converged"] is False
+    assert set(report) == {"measure", "loglik_trace", "iterations", "converged", "config", "seed",
+                           "method", "n_observations"}
+
+
+def test_select_g_reports_effective_sample_size(tmp_path, spec_file, capsys):
+    sim = str(tmp_path / "sim.csv")
+    main(["simulate", "--spec", spec_file, "--n", "150", "--seed", "7", "--out", sim])
+    capsys.readouterr()
+    out = str(tmp_path / "sel.csv")
+    assert main(["select-g", "--data", sim, "--g-min", "1", "--g-max", "2",
+                 "--prior-draws", "1000", "--seed", "1", "--out", out]) == EXIT_OK
+    extra = json.loads(open(out + ".manifest.json").read())["extra"]
+    data = np.array([float(r["y"]) for r in read_rows(sim)])
+    want = mk.evidence_over_G(data, [1, 2], lambda G: mk.default_prior(data, G),
+                              mk.EvidenceConfig(n_prior_draws=1000, seed=1))
+    assert extra["effective_sample_sizes"] == [e.ess for e in want]
+    assert extra["max_weight_shares"] == [e.max_weight_share for e in want]
+    # at n=150 a few prior draws carry the whole estimate
+    assert all(e.ess < 10.0 for e in want)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "G=1 (" in err and "G=2 (" in err
+    assert "effective sample size below 10 of 1000 prior draws" in err
+    # three observations leave the prior draws' weights nearly even: no warning
+    few = tmp_path / "few.csv"
+    few.write_text("y\n2.5\n3.0\n3.5\n", encoding="utf-8")
+    assert main(["select-g", "--data", str(few), "--g-min", "1", "--g-max", "2",
+                 "--prior-draws", "1000", "--seed", "1", "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    extra = json.loads(open(out + ".manifest.json").read())["extra"]
+    assert min(extra["effective_sample_sizes"]) >= 10.0
+
+
 def test_compound_tables(tmp_path):
     bb = tmp_path / "bb.json"
     bb.write_text(json.dumps({"schema_version": 1, "kind": "beta_binomial",

@@ -211,3 +211,74 @@ def test_fit_report_shape(two_normal_separated):
     assert report["measure"]["family"] == "normal"
     assert report["loglik_trace"][-1] == pytest.approx(state.loglik)
     assert report["config"]["seed"] == 3
+
+
+# ---------------------------------------------------------------------------
+# The array loops against the public object-level steps.
+
+
+FIXTURE_OF = {"normal": "two_normal_separated", "poisson": "two_poisson",
+              "bivariate_normal": "two_bivariate"}
+
+
+def _assert_measures_close(a, b, rel):
+    assert a.G == b.G and a.family == b.family
+    assert np.allclose(a.weights, b.weights, rtol=rel, atol=0.0)
+    for ca, cb in zip(a.components, b.components):
+        pa, pb = ca.params_dict(), cb.params_dict()
+        for key in pa:
+            assert np.allclose(pa[key], pb[key], rtol=rel, atol=0.0), key
+
+
+@pytest.mark.parametrize("family", ["normal", "poisson", "bivariate_normal"])
+def test_one_em_iteration_is_m_step_of_e_step(family, request):
+    truth = request.getfixturevalue(FIXTURE_OF[family])
+    data = mk.sample_mixture(truth, 400, 71).data
+    start = mk.permute(truth.measure, [2, 1])
+    config = mk.EMConfig(init=start, max_iter=1, restarts=1, seed=0)
+    state = mk.run_em(data, 2, family, config)
+    assert state.iteration == 1
+    stepped = mk.m_step(data, mk.e_step(mk.MixtureModel(start), data), family, config)
+    _assert_measures_close(state.model.measure, stepped, 1e-12)
+    assert state.loglik == pytest.approx(mk.log_likelihood(mk.MixtureModel(stepped), data), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["normal", "poisson", "bivariate_normal"])
+def test_hard_em_labels_are_hard_allocations(family, request):
+    truth = request.getfixturevalue(FIXTURE_OF[family])
+    data = mk.sample_mixture(truth, 300, 73).data
+    for max_iter in (1, 1000):
+        state = mk.run_hard_em(data, 2, family, mk.EMConfig(seed=2, max_iter=max_iter))
+        labels = np.argmax(state.responsibilities, axis=1) + 1
+        assert np.array_equal(labels, mk.hard_allocations(state.model, data))
+
+
+def test_atom_argmax_matches_np_argmax():
+    from mixkit.em import _atom_argmax
+
+    rng = np.random.default_rng(5)
+    for G in range(1, 8):
+        L = rng.integers(-3, 3, size=(200, G)).astype(float)
+        L[rng.random(L.shape) < 0.2] = -math.inf
+        for M in (L, np.asfortranarray(L)):
+            assert np.array_equal(_atom_argmax(M), np.argmax(M, axis=1))
+
+
+def test_reseeds_are_recorded():
+    data = np.concatenate([np.linspace(-1.0, 1.0, 60), np.linspace(9.0, 11.0, 60)])
+    # the third atom sits so far out that its responsibilities underflow
+    start = mk.MixingMeasure(
+        (
+            (0.4, mk.UnivariateNormal(0.0, 1.0)),
+            (0.4, mk.UnivariateNormal(10.0, 1.0)),
+            (0.2, mk.UnivariateNormal(1e6, 1.0)),
+        )
+    )
+    state = mk.run_em(data, 3, "normal", mk.EMConfig(init=start, restarts=1, seed=0))
+    assert state.reseeds[0] == (1, 3)
+    assert all(1 <= it <= state.iteration and 1 <= g <= 3 for it, g in state.reseeds)
+    with pytest.raises(mk.EmptyComponentError) as exc:
+        mk.run_em(data, 3, "normal", mk.EMConfig(init=start, restarts=0, seed=0))
+    assert exc.value.component == 3
+    clean = mk.run_em(data, 2, "normal", mk.EMConfig(seed=0))
+    assert clean.reseeds == ()

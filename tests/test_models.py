@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixkit as mk
 from conftest import random_normal_model
+from mixkit.models import _logsumexp, _sort_atoms
 
 # Reference values computed with 50-digit arithmetic, independent of this
 # package, then rounded to double precision.
@@ -205,3 +208,66 @@ def test_model_json_is_loadable_json(three_normal_unimodal):
     doc = json.loads(mk.model_to_json(three_normal_unimodal))
     assert doc["family"] == "normal"
     assert len(doc["atoms"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# The atom-axis reduction against an np.sort reference, bit for bit.
+
+# a small pool makes ties common; -inf covers zero-weight atoms and rows
+_ENTRIES = st.one_of(
+    st.sampled_from([-math.inf, -700.0, -3.5, 0.0, 1.0, 2.25]),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+
+
+@st.composite
+def _atom_matrices(draw):
+    G = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 12))
+    a = np.array(draw(st.lists(_ENTRIES, min_size=n * G, max_size=n * G))).reshape(n, G)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        a[i] = -math.inf
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+def _reference_logsumexp(a):
+    top = a.max(axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    terms = np.sort(np.exp(np.ascontiguousarray(a) - shift), axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.log(terms.sum(axis=-1)) + shift[..., 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atom_matrices())
+def test_atom_sort_equals_np_sort(a):
+    terms = np.exp(a)
+    _sort_atoms(terms)
+    assert np.array_equal(terms, np.sort(np.exp(a), axis=-1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atom_matrices())
+def test_logsumexp_equals_sorted_reference_bitwise(a):
+    got = _logsumexp(a)
+    want = _reference_logsumexp(a)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.all(np.isneginf(got[np.all(np.isneginf(a), axis=1)]))
+
+
+def test_logsumexp_of_a_vector_keeps_np_sort():
+    a = np.random.default_rng(3).normal(size=1000) * 40.0
+    assert _logsumexp(a) == _reference_logsumexp(a)
+    assert _logsumexp(np.full(4, -math.inf)) == -math.inf
+
+
+def test_component_matrix_is_atom_major(three_normal_unimodal, two_poisson, two_bivariate):
+    cases = ((three_normal_unimodal, np.linspace(-2.0, 6.0, 50)), (two_poisson, np.arange(20)),
+             (two_bivariate, np.random.default_rng(1).normal(size=(30, 2))))
+    for model, data in cases:
+        L = mk.log_weighted_densities(model, data)
+        assert L.shape == (len(data), model.G)
+        assert L.flags["F_CONTIGUOUS"]
+        for g, (w, c) in enumerate(model.measure.atoms):
+            assert np.array_equal(L[:, g], c.log_density(data) + math.log(w))
