@@ -33,10 +33,9 @@ from .models import (
     _logsumexp,
     _measure_from_params,
     _measure_params,
+    _stacked_log_densities,
 )
 from .sampling import _as_rng
-
-_LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -301,26 +300,13 @@ class SummaryStatistics:
     quantiles: dict
 
 
-# summarize_H: at most this many predictive values per stacked kernel call
-PREDICTIVE_CHUNK = 4_000_000
-
-
 def _predictive_densities(measures, points):
-    """Mixture density of each measure at ``points``, shape (S, P), from one
-    stacked kernel call per chunk of snapshots.
-
-    The S measures' atoms go into one component matrix, atom-major across
-    measures (column g*S + s is atom g of measure s), so its transpose is
-    a (G, S, P) block whose atom slices are contiguous.
-    """
+    """Mixture density of each measure at ``points``, shape (S, P), stacked."""
     family = measures[0].family
     arr = validate_observations(family, points)
-    S, G = len(measures), measures[0].G
-    per_atom = [np.stack(p) for p in zip(*(_measure_params(m) for m in measures))]
-    flat = [np.swapaxes(p, 0, 1).reshape(G * S, *p.shape[2:]) for p in per_atom]
-    log_w = _logs(np.stack([m.weights for m in measures]).T.ravel())
-    L = _component_log_densities(family, flat, arr).T + log_w[:, None]
-    return np.exp(_logsumexp(np.moveaxis(L.reshape(G, S, len(arr)), 0, -1)))
+    params = [np.stack(p) for p in zip(*(_measure_params(m) for m in measures))]
+    weights = np.stack([m.weights for m in measures])
+    return _stacked_log_densities(family, weights, params, arr, np.exp)
 
 
 def _evaluate_functional(functional, measure):
@@ -343,11 +329,7 @@ def summarize_H(sample, functional):
         raise DomainError("the posterior sample is empty")
     measures = [s.measure for s in sample.snapshots]
     if isinstance(functional, PredictiveDensityAt):
-        step = max(1, PREDICTIVE_CHUNK // (len(functional.points) * measures[0].G))
-        values = np.concatenate(
-            [_predictive_densities(measures[i : i + step], functional.points)
-             for i in range(0, len(measures), step)]
-        )
+        values = _predictive_densities(measures, functional.points)
     else:
         values = np.array([_evaluate_functional(functional, m) for m in measures])
     qs = (2.5, 25.0, 50.0, 75.0, 97.5)
@@ -399,18 +381,9 @@ def _prior_parameter_draws(prior, rng, m):
     return etas, mus, sigmas
 
 
-def _loglik_of_draws(data, etas, mus, sigmas):
-    """Vectorized mixture log-likelihood for a batch of parameter draws.
-
-    The (n, draws, G) matrix is laid out atom-major, as a (G, n, draws)
-    block, so the reduction across atoms reads contiguous slices.
-    """
-    y = np.asarray(data, dtype=float)[None, :, None]
-    z = (y - mus.T[:, None, :]) / sigmas.T[:, None, :]
-    comp_log = -0.5 * z * z - np.log(sigmas).T[:, None, :] - 0.5 * _LOG_TWO_PI
-    with np.errstate(divide="ignore"):
-        comp_log += np.log(etas).T[:, None, :]
-    return _logsumexp(np.moveaxis(comp_log, 0, -1)).sum(axis=0)
+def _loglik_of_draws(arr, etas, mus, sigmas):
+    """Log-likelihood of ``arr`` under each draw (row of etas, mus, sigmas)."""
+    return _stacked_log_densities("normal", etas, (mus, sigmas), arr, lambda rows: rows.sum(axis=-1))
 
 
 def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
@@ -430,11 +403,7 @@ def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
         return EvidenceEstimate(
             log_value=0.0, log_se=0.0, underflowed=False, ess=float(m), max_weight_share=1.0 / m
         )
-    lls = np.empty(m)
-    chunk = max(1, int(4_000_000 / max(len(arr) * G, 1)))
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        lls[start:stop] = _loglik_of_draws(arr, etas[start:stop], mus[start:stop], sigmas[start:stop])
+    lls = _loglik_of_draws(arr, etas, mus, sigmas)
     top = lls.max()
     if np.isneginf(top):
         warnings.warn("every prior draw underflowed the likelihood", RuntimeWarning)
@@ -454,7 +423,7 @@ def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
 
 
 def combine_log_marginals(log_marginals, prior_on_G):
-    """Bayes' rule across model sizes, normalized in log space."""
+    """Bayes' rule across model sizes in log space; DomainError if no size has mass."""
     prior_on_G = np.asarray(prior_on_G, dtype=float)
     if np.any(prior_on_G < 0.0) or abs(math.fsum(prior_on_G.tolist()) - 1.0) > 1e-12:
         raise DomainError("prior_on_G must be a probability vector")
@@ -463,7 +432,10 @@ def combine_log_marginals(log_marginals, prior_on_G):
         raise DomainError("one marginal likelihood per model size is required")
     with np.errstate(divide="ignore"):
         lp = np.log(prior_on_G) + log_marginals
-    post = np.exp(lp - _logsumexp(lp))
+    total = _logsumexp(lp)
+    if not math.isfinite(total):
+        raise DomainError(f"the posterior over G is undefined: the log normalizer is {total}")
+    post = np.exp(lp - total)
     return post / post.sum()
 
 

@@ -54,9 +54,17 @@ class UnivariateNormal:
     @staticmethod
     def _log_density_rows(mu, sigma, y):
         """log densities of the Normals with parameter arrays ``mu``, ``sigma``
-        at ``y``: shape (G, *y.shape), one row per atom."""
-        z = (y - _atom_rows(mu, y.ndim)) / _atom_rows(sigma, y.ndim)
-        return -0.5 * z * z - _atom_rows(_logs(sigma), y.ndim) - 0.5 * _LOG_TWO_PI
+        at ``y``: shape (G, *y.shape), one row per atom, in place on one array.
+        -0.5 * z * z is formed as -2 * (-0.5 * z) ** 2, the same bits (overflow
+        included): scaling by a power of two is exact."""
+        out = y - _atom_rows(mu, y.ndim)
+        out /= _atom_rows(sigma, y.ndim)
+        out *= -0.5
+        np.square(out, out=out)
+        out *= -2.0
+        out -= _atom_rows(_logs(sigma), y.ndim)
+        out -= 0.5 * _LOG_TWO_PI
+        return out
 
     def log_density(self, y):
         y = np.asarray(y, dtype=float)

@@ -7,9 +7,9 @@ every label-free comparison of two measures goes through :func:`canonicalize`.
 
 Mixture densities are computed here only: every other module (em, bayes,
 modes, cli) builds the component matrix with :func:`log_weighted_densities`,
-or, in the fit loops, with the array-level kernel it calls
-(:func:`_component_log_densities` on parameter arrays), and reduces it across
-atoms with the order-invariant :func:`_logsumexp`.
+or, in the fit loops and for stacked prior draws or snapshots, with the kernel
+it calls (:func:`_component_log_densities` on parameter arrays), and reduces
+it across atoms with the order-invariant :func:`_logsumexp`.
 """
 
 from __future__ import annotations
@@ -136,24 +136,21 @@ def density(model, y):
     Uses compensated summation so the result depends only on the multiset of
     atoms, not on how they are ordered.
     """
-    arr = validate_observations(model.family, y)
-    if model.family == "bivariate_normal":
-        if arr.shape[0] != 1:
-            raise DomainError("density expects a single observation")
-    elif arr.shape != (1,):
-        raise DomainError("density expects a single observation")
-    point = arr[0]
+    point = _one_observation(model, y, "density")[0]
     return math.fsum(w * float(c.density(point)) for w, c in model.measure.atoms)
+
+
+def _one_observation(model, y, caller):
+    """``y`` validated for the model's family; it must hold one observation."""
+    arr = validate_observations(model.family, y)
+    if arr.shape[0] != 1:
+        raise DomainError(f"{caller} expects a single observation")
+    return arr
 
 
 def log_density(model, y):
     """log of :func:`density`, evaluated by log-sum-exp for stability."""
-    arr = validate_observations(model.family, y)
-    if model.family == "bivariate_normal":
-        if arr.shape[0] != 1:
-            raise DomainError("log_density expects a single observation")
-    elif arr.shape != (1,):
-        raise DomainError("log_density expects a single observation")
+    arr = _one_observation(model, y, "log_density")
     return float(_logsumexp(log_weighted_densities(model, arr))[0])
 
 
@@ -262,6 +259,29 @@ def _component_log_densities(family, params, arr, log_fact=None):
     extra = () if log_fact is None else (log_fact,)
     with np.errstate(over="ignore", divide="ignore"):
         return FAMILIES[family]._log_density_rows(*params, arr, *extra).T
+
+
+# _stacked_log_densities evaluates at most this many values per kernel call:
+# 2 MiB of float64, so a block and its temporaries stay in cache.
+BLOCK_VALUES = 262_144
+
+
+def _stacked_log_densities(family, weights, params, arr, reduce):
+    """``reduce`` of each block's (k, n) C-order log mixture densities of S
+    parameter sets (``weights`` (S, G), each of ``params`` (S, G, ...)) at
+    ``arr``, concatenated.  Column g*k + s of a block's component matrix is
+    atom g of set s, so the atom slices of the (G, k, n) block are contiguous.
+    A row-wise ``reduce`` gives the same bits whatever BLOCK_VALUES is."""
+    G = weights.shape[1]
+    step = max(1, BLOCK_VALUES // max(G * len(arr), 1))
+    out = []
+    for start in range(0, len(weights), step):
+        w = weights[start : start + step]
+        flat = [np.swapaxes(p[start : start + step], 0, 1).reshape(w.size, *p.shape[2:]) for p in params]
+        L = _component_log_densities(family, flat, arr).T
+        L += _logs(w.T.ravel())[:, None]
+        out.append(reduce(_logsumexp(np.moveaxis(L.reshape(G, len(w), len(arr)), 0, -1))))
+    return np.concatenate(out)
 
 
 def log_weighted_densities(model, data):

@@ -1,12 +1,13 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 import mixkit as mk
-from mixkit.bayes import _posterior_coefficients
+from mixkit.bayes import _loglik_of_draws, _posterior_coefficients, _prior_parameter_draws
 
 
 @pytest.fixture
@@ -239,6 +240,59 @@ def test_combine_log_marginals_validation():
         mk.combine_log_marginals([0.0, 0.0], (0.4, 0.4))
     with pytest.raises(mk.DomainError):
         mk.combine_log_marginals([0.0], (0.5, 0.5))
+
+
+def test_combine_log_marginals_rejects_all_neginf_evidence():
+    # every size underflowed, or the only finite size has prior mass 0:
+    # the posterior is undefined and must not come back as NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mk.DomainError):
+            mk.combine_log_marginals([-math.inf, -math.inf], (0.5, 0.5))
+        with pytest.raises(mk.DomainError):
+            mk.combine_log_marginals([-3.0, -math.inf], (0.0, 1.0))
+        post = mk.combine_log_marginals([-3.0, -math.inf], (0.5, 0.5))
+    assert post.tolist() == [1.0, 0.0]
+
+
+@pytest.fixture
+def evidence_draws():
+    """n=667, G=3, 2000 prior draws: the size at which 4M-value chunks left
+    the last draw alone in a block."""
+    data = mk.validate_observations("normal", np.random.default_rng(81).normal(0.0, 2.0, 667))
+    prior = mk.default_prior(data, 3)
+    return data, prior, _prior_parameter_draws(prior, np.random.default_rng(82), 2000)
+
+
+def test_per_draw_loglik_does_not_depend_on_blocks(evidence_draws, monkeypatch):
+    data, prior, (etas, mus, sigmas) = evidence_draws
+    batch = _loglik_of_draws(data, etas, mus, sigmas)
+    one_by_one = [_loglik_of_draws(data, etas[s : s + 1], mus[s : s + 1], sigmas[s : s + 1])[0]
+                  for s in range(len(etas))]
+    assert np.array_equal(batch, one_by_one)
+    config = mk.EvidenceConfig(n_prior_draws=2000, seed=83)
+    results = []
+    for block_values in (1, 10**12):
+        monkeypatch.setattr(mk.models, "BLOCK_VALUES", block_values)
+        results.append(mk.log_marginal_likelihood(data, 3, prior, config))
+    assert results[0] == results[1]
+
+
+def test_per_draw_loglik_ignores_atom_order(evidence_draws):
+    data, _, (etas, mus, sigmas) = evidence_draws
+    perm = np.argsort(np.random.default_rng(84).random(etas.shape), axis=1)
+    permuted = [np.take_along_axis(p, perm, axis=1) for p in (etas, mus, sigmas)]
+    assert not np.array_equal(permuted[1], mus)
+    assert np.array_equal(_loglik_of_draws(data, *permuted), _loglik_of_draws(data, etas, mus, sigmas))
+
+
+def test_per_draw_loglik_matches_public_log_likelihood(evidence_draws):
+    data, _, (etas, mus, sigmas) = evidence_draws
+    lls = _loglik_of_draws(data, etas, mus, sigmas)
+    for s in range(0, len(etas), 40):
+        comps = [mk.UnivariateNormal(m, sd) for m, sd in zip(mus[s], sigmas[s])]
+        model = mk.MixtureModel(mk.MixingMeasure(tuple(zip(etas[s].tolist(), comps))))
+        assert lls[s] == pytest.approx(mk.log_likelihood(model, data), rel=1e-12)
 
 
 def test_posterior_over_G_prefers_the_truth(two_normal_separated):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mixkit as mk
-from mixkit.components import component_from_dict
+from mixkit.components import _logs, component_from_dict
 
 STANDARD_NORMAL_AT_ZERO = 0.39894228040143267794
 
@@ -19,6 +21,29 @@ def test_univariate_normal_log_density_vectorized():
     ys = np.array([-1.0, 1.0, 4.0])
     expect = -0.5 * ((ys - 1.0) / 2.0) ** 2 - math.log(2.0) - 0.5 * math.log(2 * math.pi)
     assert np.allclose(c.log_density(ys), expect, rtol=1e-15, atol=0)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SIGMAS = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_FINITE, min_size=1, max_size=4),
+    st.lists(_SIGMAS, min_size=1, max_size=4),
+    st.lists(st.one_of(_FINITE, st.sampled_from([1.4e154, 1.9e154, 2.6e154, -0.0])), max_size=6),
+)
+@example([0.0, 1e-300], [1.0, 0.5], [1.4e154, 1.5e154, 1.9e154, 2.6e154, 1e-170, -0.0])
+def test_normal_rows_in_place_keep_the_bits_of_the_product_formula(mus, sigmas, ys):
+    # the in-place rows against -0.5 * z * z - log(sigma) - log(2 pi) / 2,
+    # bit for bit, overflow of z * z and of y - mu included
+    G = min(len(mus), len(sigmas))
+    mu, sigma, y = np.array(mus[:G]), np.array(sigmas[:G]), np.array(ys)
+    with np.errstate(over="ignore", under="ignore"):
+        z = (y - mu[:, None]) / sigma[:, None]
+        want = -0.5 * z * z - _logs(sigma)[:, None] - 0.5 * math.log(2.0 * math.pi)
+        got = mk.UnivariateNormal._log_density_rows(mu, sigma, y)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_univariate_normal_rejects_bad_params():
