@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
-Each subcommand is deterministic given its seed, emits RFC-4180 CSV (or a
-JSON report) with numbers at 17 significant digits, and writes a JSON
-manifest alongside every output recording the command line, seed, effective
-configuration, input and output paths, toolkit version and wall-clock time.
-Outputs are written atomically (temp file, then rename).
+Each subcommand is deterministic given its seed and returns what it produced:
+RFC-4180 CSV (or a JSON report) with numbers at 17 significant digits, keyed
+by output path, plus the fields of its manifest.  ``main`` alone writes: each
+output atomically (temp file, then rename) in order, then one JSON manifest
+beside the first output recording the command line, seed, effective
+configuration, input and output paths, toolkit and library versions and
+wall-clock time.  A command that fails writes nothing.
 
 Exit codes: 0 success, 2 bad arguments, 3 input parse failure, 4 numerical
 failure.  The default seed is 0, overridable by the MIXKIT_SEED environment
@@ -19,12 +21,15 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bayes import (
@@ -61,7 +66,7 @@ from .errors import (
 )
 from .models import MixtureModel, _logsumexp, log_weighted_densities
 from .modelspec import document_for, load_document
-from .modes import find_modes
+from .modes import default_search_interval, find_modes
 from .sampling import HMMSpec, sample_hmm, sample_mixture
 
 EXIT_OK = 0
@@ -93,31 +98,28 @@ def _atomic_write_text(path, text):
         raise
 
 
-def _write_csv(path, header, rows):
+def _csv_text(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    _atomic_write_text(path, buf.getvalue())
+    return buf.getvalue()
 
 
-def _write_json(path, doc):
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+def _json_text(doc):
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_manifest(out_path, argv, seed, config, inputs, outputs, extra, started):
-    doc = {
-        "command": ["mixkit"] + list(argv),
-        "seed": seed,
-        "config": config,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-        "version": __version__,
-        "wall_clock_seconds": time.monotonic() - started,
-        "extra": extra,
-    }
-    _write_json(out_path + ".manifest.json", doc)
+class Produced(NamedTuple):
+    """What a subcommand made: output texts by path, in write order (the first
+    path names the manifest), and the manifest's seed, config, inputs and extra."""
+
+    outputs: dict
+    seed: object
+    config: dict
+    inputs: list
+    extra: dict
 
 
 def _resolve_seed(args):
@@ -210,8 +212,7 @@ def _load_spec(path, expected_kinds, what):
 # Subcommands
 
 
-def _cmd_simulate(args, argv):
-    started = time.monotonic()
+def _cmd_simulate(args):
     seed = _resolve_seed(args)
     n = int(args.n)
     if n < 0:
@@ -220,31 +221,18 @@ def _cmd_simulate(args, argv):
     if isinstance(obj, HMMSpec):
         if n < 1:
             raise DomainError("--n must be at least 1 for an hmm spec")
-        states, data = sample_hmm(obj, n, seed)
-        z = states
-        family = obj.family
+        z, data = sample_hmm(obj, n, seed)
     else:
         sample = sample_mixture(obj, n, seed)
         data, z = sample.data, sample.z
-        family = obj.family
-    if family == "bivariate_normal":
+    if obj.family == "bivariate_normal":
         header = ["y1", "y2", "z"]
         rows = [(data[i, 0], data[i, 1], z[i]) for i in range(n)]
     else:
         header = ["y", "z"]
         rows = [(data[i], z[i]) for i in range(n)]
-    _write_csv(args.out, header, rows)
-    _write_manifest(
-        args.out,
-        argv,
-        seed,
-        {"n": n, "spec": args.spec},
-        inputs=[args.spec],
-        outputs=[args.out],
-        extra={"rows": n},
-        started=started,
-    )
-    return EXIT_OK
+    return Produced({args.out: _csv_text(header, rows)}, seed, {"n": n, "spec": args.spec},
+                    [args.spec], {"rows": n})
 
 
 def _density_table(model, grid):
@@ -262,12 +250,7 @@ def _density_table(model, grid):
             if ys.size == 0:
                 raise DomainError("grid covers no non-negative integers")
     else:
-        if grid is None:
-            mus = [c.mu for c in model.measure.components]
-            smax = max(c.sigma for c in model.measure.components)
-            lo, hi, points = min(mus) - 8.0 * smax, max(mus) + 8.0 * smax, 2001
-        else:
-            lo, hi, points = grid
+        lo, hi, points = grid if grid is not None else (*default_search_interval(model), 2001)
         ys = np.linspace(lo, hi, points)
     vals = np.exp(_logsumexp(log_weighted_densities(model, ys)))
     if model.family == "poisson":
@@ -275,27 +258,16 @@ def _density_table(model, grid):
     return ys, vals, {"trapezoid_integral": float(np.trapezoid(vals, ys))}
 
 
-def _cmd_density(args, argv):
-    started = time.monotonic()
+def _cmd_density(args):
     model = _load_spec(args.spec, ("mixture",), "density")
     grid = _parse_grid(args.grid) if args.grid else None
     xs, vals, extra = _density_table(model, grid)
     name = "pmf" if model.family == "poisson" else "density"
-    _write_csv(args.out, ["y", name], list(zip(xs, vals)))
-    _write_manifest(
-        args.out,
-        argv,
-        None,
-        {"spec": args.spec, "grid": args.grid},
-        inputs=[args.spec],
-        outputs=[args.out],
-        extra=extra,
-        started=started,
-    )
-    return EXIT_OK
+    return Produced({args.out: _csv_text(["y", name], zip(xs, vals))}, None,
+                    {"spec": args.spec, "grid": args.grid}, [args.spec], extra)
 
 
-def _gibbs_outputs(args, data, sample, grid):
+def _gibbs_outputs(sample, grid):
     lo, hi, points = grid
     xs = np.linspace(lo, hi, points)
     predictive = summarize_H(sample, PredictiveDensityAt(tuple(xs)))
@@ -337,8 +309,7 @@ def _warn_em(state):
     print(f"mixkit: warning: em {'; '.join(notes)}", file=sys.stderr)
 
 
-def _cmd_fit(args, argv):
-    started = time.monotonic()
+def _cmd_fit(args):
     seed = _resolve_seed(args)
     data = _read_data(args.data)
     G = int(args.G)
@@ -366,23 +337,13 @@ def _cmd_fit(args, argv):
         report = fit_report(state, config)
         report["method"] = args.method
         report["n_observations"] = len(data)
-        _write_json(args.out, report)
-        _write_manifest(
-            args.out,
-            argv,
-            seed,
-            report["config"],
-            inputs=[args.data],
-            outputs=[args.out],
-            extra={
-                "final_loglik": state.loglik,
-                "iterations": state.iteration,
-                "converged": state.converged,
-                "reseeds": [list(event) for event in state.reseeds],
-            },
-            started=started,
-        )
-        return EXIT_OK
+        extra = {
+            "final_loglik": state.loglik,
+            "iterations": state.iteration,
+            "converged": state.converged,
+            "reseeds": [list(event) for event in state.reseeds],
+        }
+        return Produced({args.out: _json_text(report)}, seed, report["config"], [args.data], extra)
 
     # gibbs
     if family != "normal":
@@ -399,7 +360,7 @@ def _cmd_fit(args, argv):
     else:
         span = float(data.max() - data.min()) or 1.0
         grid = (float(data.min()) - 0.1 * span, float(data.max()) + 0.1 * span, 101)
-    report, chain_text, pred_rows = _gibbs_outputs(args, data, sample, grid)
+    report, chain_text, pred_rows = _gibbs_outputs(sample, grid)
     chain_path = args.out + ".chain.ndjson"
     pred_path = args.out + ".predictive.csv"
     report.update(
@@ -412,24 +373,16 @@ def _cmd_fit(args, argv):
             "predictive_path": pred_path,
         }
     )
-    _write_json(args.out, report)
-    _atomic_write_text(chain_path, chain_text)
-    _write_csv(pred_path, ["y", "predictive_mean", "predictive_q025", "predictive_q975"], pred_rows)
-    _write_manifest(
-        args.out,
-        argv,
-        seed,
-        report["config"],
-        inputs=[args.data] + ([args.prior] if args.prior else []),
-        outputs=[args.out, chain_path, pred_path],
-        extra={"n_snapshots": len(sample)},
-        started=started,
-    )
-    return EXIT_OK
+    outputs = {
+        args.out: _json_text(report),
+        chain_path: chain_text,
+        pred_path: _csv_text(["y", "predictive_mean", "predictive_q025", "predictive_q975"], pred_rows),
+    }
+    inputs = [args.data] + ([args.prior] if args.prior else [])
+    return Produced(outputs, seed, report["config"], inputs, {"n_snapshots": len(sample)})
 
 
-def _cmd_select_g(args, argv):
-    started = time.monotonic()
+def _cmd_select_g(args):
     seed = _resolve_seed(args)
     data = _read_data(args.data)
     if data.ndim != 1:
@@ -443,7 +396,6 @@ def _cmd_select_g(args, argv):
     prior_on_G = np.full(len(sizes), 1.0 / len(sizes))
     posterior = combine_log_marginals([e.log_value for e in estimates], prior_on_G)
     rows = [(G, e.log_value, p) for G, e, p in zip(sizes, estimates, posterior)]
-    _write_csv(args.out, ["G", "log_marginal", "posterior"], rows)
     thin = [f"G={G} ({e.ess:.3g})" for G, e in zip(sizes, estimates) if not e.ess >= EVIDENCE_ESS_FLOOR]
     if thin:
         print(
@@ -452,23 +404,16 @@ def _cmd_select_g(args, argv):
             "its log_marginal is unreliable",
             file=sys.stderr,
         )
-    _write_manifest(
-        args.out,
-        argv,
-        seed,
-        {"g_min": g_min, "g_max": g_max, "prior_draws": args.prior_draws},
-        inputs=[args.data],
-        outputs=[args.out],
-        extra={
-            "standard_errors": [e.log_se for e in estimates],
-            "underflowed": [e.underflowed for e in estimates],
-            "effective_sample_sizes": [e.ess for e in estimates],
-            "max_weight_shares": [e.max_weight_share for e in estimates],
-            "posterior_sum": math.fsum(posterior.tolist()),
-        },
-        started=started,
-    )
-    return EXIT_OK
+    extra = {
+        "standard_errors": [e.log_se for e in estimates],
+        "underflowed": [e.underflowed for e in estimates],
+        "effective_sample_sizes": [e.ess for e in estimates],
+        "max_weight_shares": [e.max_weight_share for e in estimates],
+        "posterior_sum": math.fsum(posterior.tolist()),
+    }
+    return Produced({args.out: _csv_text(["G", "log_marginal", "posterior"], rows)}, seed,
+                    {"g_min": g_min, "g_max": g_max, "prior_draws": args.prior_draws},
+                    [args.data], extra)
 
 
 def _compositions(n, k):
@@ -482,8 +427,7 @@ def _compositions(n, k):
         yield tuple(counts)
 
 
-def _cmd_compound(args, argv):
-    started = time.monotonic()
+def _cmd_compound(args):
     params = _load_spec(
         args.spec, ("beta_binomial", "negative_binomial", "dirichlet_multinomial"), "compound"
     )
@@ -504,22 +448,11 @@ def _cmd_compound(args, argv):
             raise DomainError(f"{n_cells} count vectors is too many to tabulate")
         header = [f"y{j + 1}" for j in range(k)] + ["pmf"]
         rows = [(*c, dirmult_pmf(params, c)) for c in _compositions(params.trials, k)]
-    _write_csv(args.out, header, rows)
-    _write_manifest(
-        args.out,
-        argv,
-        None,
-        {"spec": args.spec},
-        inputs=[args.spec],
-        outputs=[args.out],
-        extra={"pmf_sum": math.fsum(float(r[-1]) for r in rows)},
-        started=started,
-    )
-    return EXIT_OK
+    return Produced({args.out: _csv_text(header, rows)}, None, {"spec": args.spec}, [args.spec],
+                    {"pmf_sum": math.fsum(float(r[-1]) for r in rows)})
 
 
-def _cmd_modes(args, argv):
-    started = time.monotonic()
+def _cmd_modes(args):
     model = _load_spec(args.spec, ("mixture",), "modes")
     if model.family != "normal":
         raise DomainError("mode counting supports univariate Normal mixtures only")
@@ -529,22 +462,12 @@ def _cmd_modes(args, argv):
     else:
         locations = find_modes(model)
     print(len(locations))
-    _write_csv(args.out, ["mode", "location"], [(k + 1, x) for k, x in enumerate(locations)])
-    _write_manifest(
-        args.out,
-        argv,
-        None,
-        {"spec": args.spec, "grid": args.grid},
-        inputs=[args.spec],
-        outputs=[args.out],
-        extra={"count": len(locations), "locations": [float(x) for x in locations]},
-        started=started,
-    )
-    return EXIT_OK
+    table = _csv_text(["mode", "location"], [(k + 1, x) for k, x in enumerate(locations)])
+    return Produced({args.out: table}, None, {"spec": args.spec, "grid": args.grid}, [args.spec],
+                    {"count": len(locations), "locations": [float(x) for x in locations]})
 
 
-def _cmd_crp(args, argv):
-    started = time.monotonic()
+def _cmd_crp(args):
     seed = _resolve_seed(args)
     alpha = float(args.alpha)
     n = int(args.n)
@@ -556,19 +479,10 @@ def _cmd_crp(args, argv):
     histogram = np.bincount(clusters, minlength=n + 1)[1:]
     expected = expected_cluster_count(alpha, n)
     rows = [(k + 1, int(c), c / runs) for k, c in enumerate(histogram)]
-    _write_csv(args.out, ["clusters", "runs", "frequency"], rows)
     print(f"expected_clusters {_fmt(expected)}")
-    _write_manifest(
-        args.out,
-        argv,
-        seed,
-        {"alpha": alpha, "n": n, "runs": runs},
-        inputs=[],
-        outputs=[args.out],
-        extra={"empirical_mean": float(clusters.mean()), "expected_clusters": expected},
-        started=started,
-    )
-    return EXIT_OK
+    return Produced({args.out: _csv_text(["clusters", "runs", "frequency"], rows)}, seed,
+                    {"alpha": alpha, "n": n, "runs": runs}, [],
+                    {"empirical_mean": float(clusters.mean()), "expected_clusters": expected})
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +565,10 @@ def build_parser():
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args, argv)
+        produced = args.func(args)
     except (SpecDocumentError, DataFileError) as exc:
         print(f"mixkit: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -664,6 +578,25 @@ def main(argv=None):
     except (DomainError, InvalidMeasureError) as exc:
         print(f"mixkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    for path, text in produced.outputs.items():
+        _atomic_write_text(path, text)
+    manifest = {
+        "command": ["mixkit"] + list(argv),
+        "seed": produced.seed,
+        "config": produced.config,
+        "inputs": produced.inputs,
+        "outputs": list(produced.outputs),
+        "version": __version__,
+        "runtime": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "wall_clock_seconds": time.monotonic() - started,
+        "extra": produced.extra,
+    }
+    _atomic_write_text(next(iter(produced.outputs)) + ".manifest.json", _json_text(manifest))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

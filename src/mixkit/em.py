@@ -237,8 +237,11 @@ def _reseed_empty(weights, params, empty, data, family, floor, rng):
     return weights / weights.sum()
 
 
-def _single_em_run(data, G, family, config, rng, reseed_allowed, floor, log_fact):
-    """One seeded run on parameter arrays; objects are built for the result only."""
+def _single_em_run(data, G, family, config, rng, floor, log_fact):
+    """One seeded run on parameter arrays; objects are built for the result only.
+
+    With restarts=0 an emptied component raises instead of being re-seeded.
+    """
     weights, params = _initial_params(data, G, family, config, rng, floor)
     L = _component_log_densities(family, params, data, log_fact) + _logs(weights)
     r, norm = _responsibilities(L)
@@ -249,7 +252,7 @@ def _single_em_run(data, G, family, config, rng, reseed_allowed, floor, log_fact
     for _ in range(config.max_iter):
         weights, params, empty = _m_step_arrays(data, r, family, floor)
         if empty.size:
-            if not reseed_allowed:
+            if config.restarts == 0:
                 raise EmptyComponentError(
                     int(empty[0]) + 1,
                     f"component {int(empty[0]) + 1} emptied at iteration {len(trace)}",
@@ -276,31 +279,31 @@ def _single_em_run(data, G, family, config, rng, reseed_allowed, floor, log_fact
     )
 
 
-def _validated_fit_input(data, G, family):
+def _best_of_restarts(run, data, G, family, config):
+    """Best final log-likelihood of ``run`` over the seeded restarts.
+
+    The data are validated, and the variance floor and Poisson log y! are
+    computed, once for all runs; each run gets its own spawned generator.
+    """
     arr = validate_observations(family, data)
     G = int(G)
     if G < 1:
         raise DomainError("G must be at least 1")
     if len(arr) < G:
         raise DomainError("need at least G observations")
-    return arr, G
+    floor = resolve_variance_floor(arr, family, config)
+    log_fact = _log_factorials(family, arr)
+    best = None
+    for child in np.random.SeedSequence(config.seed).spawn(max(config.restarts, 1)):
+        state = run(arr, G, family, config, np.random.default_rng(child), floor, log_fact)
+        if best is None or state.loglik > best.loglik:
+            best = state
+    return best
 
 
 def run_em(data, G, family="normal", config=EMConfig()):
     """Fit a G-component mixture, keeping the best of the seeded restarts."""
-    arr, G = _validated_fit_input(data, G, family)
-    floor = resolve_variance_floor(arr, family, config)
-    log_fact = _log_factorials(family, arr)
-    runs = max(config.restarts, 1)
-    reseed_allowed = config.restarts > 0
-    children = np.random.SeedSequence(config.seed).spawn(runs)
-    best = None
-    for child in children:
-        rng = np.random.default_rng(child)
-        state = _single_em_run(arr, G, family, config, rng, reseed_allowed, floor, log_fact)
-        if best is None or state.loglik > best.loglik:
-            best = state
-    return best
+    return _best_of_restarts(_single_em_run, data, G, family, config)
 
 
 def _atom_argmax(L):
@@ -334,48 +337,42 @@ def _one_hot(z, G):
     return onehot
 
 
+def _single_hard_em_run(data, G, family, config, rng, floor, log_fact):
+    """One seeded hard-EM run; it stops once the allocations stop changing."""
+    weights, params = _initial_params(data, G, family, config, rng, floor)
+    z, ll = _hard_step(_component_log_densities(family, params, data, log_fact))
+    trace = [ll]
+    converged = False
+    for _ in range(config.max_iter):
+        weights, params, empty = _m_step_arrays(data, _one_hot(z, G), family, floor)
+        if empty.size:
+            raise EmptyComponentError(
+                int(empty[0]) + 1,
+                f"group {int(empty[0]) + 1} emptied after reallocation",
+            )
+        weights = weights / weights.sum()
+        z_new, ll = _hard_step(_component_log_densities(family, params, data, log_fact))
+        trace.append(ll)
+        converged = np.array_equal(z_new, z)
+        z = z_new
+        if converged:
+            break
+    return EMState(
+        model=MixtureModel(_measure_from_params(family, weights, params)),
+        responsibilities=_one_hot(z, G),
+        loglik_trace=tuple(trace),
+        iteration=len(trace) - 1,
+        converged=converged,
+    )
+
+
 def run_hard_em(data, G, family="normal", config=EMConfig()):
     """Decision-directed variant: argmax allocation, per-group MLE refit.
 
     Stops once the allocation vector stops changing.  An empty group raises
     EmptyComponentError; the trace holds the classification log-likelihood.
     """
-    arr, G = _validated_fit_input(data, G, family)
-    floor = resolve_variance_floor(arr, family, config)
-    log_fact = _log_factorials(family, arr)
-    runs = max(config.restarts, 1)
-    children = np.random.SeedSequence(config.seed).spawn(runs)
-    best = None
-    for child in children:
-        rng = np.random.default_rng(child)
-        weights, params = _initial_params(arr, G, family, config, rng, floor)
-        z, ll = _hard_step(_component_log_densities(family, params, arr, log_fact))
-        trace = [ll]
-        converged = False
-        for _ in range(config.max_iter):
-            weights, params, empty = _m_step_arrays(arr, _one_hot(z, G), family, floor)
-            if empty.size:
-                raise EmptyComponentError(
-                    int(empty[0]) + 1,
-                    f"group {int(empty[0]) + 1} emptied after reallocation",
-                )
-            weights = weights / weights.sum()
-            z_new, ll = _hard_step(_component_log_densities(family, params, arr, log_fact))
-            trace.append(ll)
-            converged = np.array_equal(z_new, z)
-            z = z_new
-            if converged:
-                break
-        state = EMState(
-            model=MixtureModel(_measure_from_params(family, weights, params)),
-            responsibilities=_one_hot(z, G),
-            loglik_trace=tuple(trace),
-            iteration=len(trace) - 1,
-            converged=converged,
-        )
-        if best is None or state.loglik > best.loglik:
-            best = state
-    return best
+    return _best_of_restarts(_single_hard_em_run, data, G, family, config)
 
 
 def fit_report(state, config):

@@ -200,23 +200,20 @@ def _logsumexp(a):
     change a single bit.  On the atom axis of a matrix the sort and the sum
     run over atom columns (see _sort_atoms, _atom_sum), which an atom-major
     matrix holds contiguously.  A 1-D input (the prior-draw vector of the
-    evidence, the G-range of the posterior over G) is one long row and keeps
-    np.sort.
+    evidence, the G-range of the posterior over G) is reduced as one row.
     """
+    if a.ndim == 1:
+        return _logsumexp(a[None, :])[0]
     shift = a.max(axis=-1, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
     terms = a - shift
     np.exp(terms, out=terms)
-    if a.ndim == 1:
-        terms.sort()
-        total = terms.sum(keepdims=True)
-    else:
-        _sort_atoms(terms)
-        total = _atom_sum(terms)
+    _sort_atoms(terms)
+    total = _atom_sum(terms)
     with np.errstate(divide="ignore"):
         np.log(total, out=total)
     total += shift[..., 0]
-    return total[0] if a.ndim == 1 else total
+    return total
 
 
 def _measure_params(measure):

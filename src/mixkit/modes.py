@@ -75,13 +75,11 @@ def find_modes(model, search_interval=None, grid_points=4096):
             f"interval [{lo}, {hi}] does not cover the mass of the density"
         )
 
-    signs = np.sign(deriv)
-    nonzero = np.flatnonzero(signs)
-    modes = []
-    for a_idx, b_idx in zip(nonzero[:-1], nonzero[1:]):
-        if signs[a_idx] > 0 and signs[b_idx] < 0:
-            modes.append(_bisect(model, xs[a_idx], xs[b_idx]))
-    return np.array(modes)
+    # descending sign changes between consecutive grid points of nonzero slope
+    nonzero = np.flatnonzero(deriv)
+    a, b = nonzero[:-1], nonzero[1:]
+    down = (deriv[a] > 0) & (deriv[b] < 0)
+    return np.array([_bisect(model, xs[i], xs[j]) for i, j in zip(a[down], b[down])])
 
 
 def _bisect(model, a, b):

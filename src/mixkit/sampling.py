@@ -119,12 +119,18 @@ class Exponential:
             raise DomainError("rate must be positive")
 
 
-def _empty_data(family):
+def _emit(components, labels, rng):
+    """Observations for the 0-based ``labels``, drawn component by component."""
+    family, n = components[0].family, len(labels)
     if family == "bivariate_normal":
-        return np.empty((0, 2))
-    if family == "poisson":
-        return np.empty(0, dtype=np.int64)
-    return np.empty(0)
+        data = np.empty((n, 2))
+    else:
+        data = np.empty(n, dtype=np.int64 if family == "poisson" else float)
+    for g, comp in enumerate(components):
+        members = np.flatnonzero(labels == g)
+        if members.size:
+            data[members] = comp.sample(rng, members.size)
+    return data
 
 
 def sample_mixture(model, n, seed):
@@ -139,15 +145,7 @@ def sample_mixture(model, n, seed):
     rng = _as_rng(seed)
     measure = model.measure
     idx = _categorical(rng, measure.weights, n)
-    data = _empty_data(model.family)
-    if n:
-        data = np.empty((n, 2)) if model.family == "bivariate_normal" else np.empty(n)
-        if model.family == "poisson":
-            data = np.empty(n, dtype=np.int64)
-        for g, comp in enumerate(measure.components):
-            members = np.flatnonzero(idx == g)
-            if members.size:
-                data[members] = comp.sample(rng, members.size)
+    data = _emit(measure.components, idx, rng)
     stored_seed = None if isinstance(seed, np.random.Generator) else seed
     return LabeledSample(data=data, z=idx + 1, seed=stored_seed)
 
@@ -171,14 +169,7 @@ def sample_hmm(spec, T, seed):
     for t in range(1, T):
         row = cum_rows[states[t - 1]]
         states[t] = min(int(np.searchsorted(row, u[t], side="right")), G - 1)
-    obs = np.empty((T, 2)) if spec.family == "bivariate_normal" else np.empty(T)
-    if spec.family == "poisson":
-        obs = np.empty(T, dtype=np.int64)
-    for g, comp in enumerate(spec.components):
-        members = np.flatnonzero(states == g)
-        if members.size:
-            obs[members] = comp.sample(rng, members.size)
-    return states + 1, obs
+    return states + 1, _emit(spec.components, states, rng)
 
 
 def sample_scale_mixture(mu, mixing, n, seed):

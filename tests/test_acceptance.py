@@ -3,7 +3,7 @@
 Every test is self-contained.  Model recipes, seeds, grids and tolerances
 are frozen in this file, so ``pytest -v`` prints exactly one pass or fail
 line per criterion and reruns are bit-for-bit repeatable.  The whole module
-runs in a few minutes on one core; criterion 11 dominates because the
+runs in about a minute on one core; criterion 11 dominates because the
 prior-sampling evidence estimator needs many draws per model size.
 """
 

@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import mixkit as mk
+import mixkit.cli
 from mixkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 MIX_SPEC = {
@@ -326,6 +330,67 @@ def test_crp_mean_matches_expectation_beyond_127_blocks(tmp_path, capsys):
     # the block count is a sum of independent Bernoulli(alpha / (alpha + i)) indicators
     variance = math.fsum(200.0 / (200.0 + i) * i / (200.0 + i) for i in range(400))
     assert abs(mean - expected) <= 5.0 * math.sqrt(variance / 50)
+
+
+# subcommand: (arguments of a good call, its outputs in write order,
+#              arguments of a failing call, that call's exit code)
+SINGLE_WRITER_CASES = {
+    "simulate": (["--spec", "{mix}", "--n", "20", "--seed", "1", "--out", "o.csv"], ["o.csv"],
+                 ["--spec", "{mix}", "--n", "-1", "--out", "o.csv"], EXIT_USAGE),
+    "density": (["--spec", "{pois}", "--out", "o.csv"], ["o.csv"],
+                ["--spec", "{mix}", "--grid", "5:1:100", "--out", "o.csv"], EXIT_USAGE),
+    "fit": (["--method", "gibbs", "--data", "{data}", "--G", "2", "--burn-in", "5", "--samples", "10",
+             "--out", "o.json"], ["o.json", "o.json.chain.ndjson", "o.json.predictive.csv"],
+            ["--method", "gibbs", "--data", "{data}", "--G", "2", "--burn-in", "5", "--samples", "10",
+             "--grid", "5:1:10", "--out", "o.json"], EXIT_USAGE),
+    "select-g": (["--data", "{data}", "--g-min", "1", "--g-max", "2", "--prior-draws", "1000",
+                  "--out", "o.csv"], ["o.csv"],
+                 ["--data", "{junk}", "--g-min", "1", "--g-max", "2", "--out", "o.csv"], EXIT_PARSE),
+    "compound": (["--spec", "{nb}", "--y-max", "5", "--out", "o.csv"], ["o.csv"],
+                 ["--spec", "{junk}", "--out", "o.csv"], EXIT_PARSE),
+    "modes": (["--spec", "{mix}", "--out", "o.csv"], ["o.csv"],
+              ["--spec", "{mix}", "--grid", "2.9:3.1:1500", "--out", "o.csv"], EXIT_NUMERIC),
+    "crp": (["--alpha", "1", "--n", "5", "--runs", "10", "--out", "o.csv"], ["o.csv"],
+            ["--alpha", "1", "--n", "5", "--runs", "0", "--out", "o.csv"], EXIT_USAGE),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SINGLE_WRITER_CASES))
+def test_outputs_then_one_manifest_and_nothing_on_failure(subcommand, tmp_path, monkeypatch, capsys):
+    files = {"mix": MIX_SPEC, "pois": POIS_SPEC,
+             "nb": {"schema_version": 1, "kind": "negative_binomial", "alpha": 3.0, "beta": 2.0}}
+    fill = {key: str(tmp_path / f"{key}.json") for key in files}
+    for key, doc in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc), encoding="utf-8")
+    fill["data"] = str(tmp_path / "data.csv")
+    ys = np.random.default_rng(0).normal(size=40) + np.repeat([0.0, 4.0], 20)
+    (tmp_path / "data.csv").write_text("y\n" + "".join(f"{v:.17g}\n" for v in ys), encoding="utf-8")
+    fill["junk"] = str(tmp_path / "junk.csv")
+    (tmp_path / "junk.csv").write_text("{nope\nbanana\n", encoding="utf-8")
+    good, outputs, bad, code = SINGLE_WRITER_CASES[subcommand]
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    written = []
+    write = mixkit.cli._atomic_write_text
+    monkeypatch.setattr(mixkit.cli, "_atomic_write_text",
+                        lambda path, text: (written.append(path), write(path, text)))
+
+    assert main([subcommand] + [a.format(**fill) for a in bad]) == code
+    assert os.listdir(run) == [] and written == []
+    capsys.readouterr()
+
+    argv = [subcommand] + [a.format(**fill) for a in good]
+    assert main(argv) == EXIT_OK
+    manifest_path = outputs[0] + ".manifest.json"
+    assert written == outputs + [manifest_path]
+    assert sorted(os.listdir(run)) == sorted(written)
+    manifest = json.loads((run / manifest_path).read_text())
+    assert manifest["command"] == ["mixkit"] + argv
+    assert manifest["outputs"] == outputs
+    assert manifest["wall_clock_seconds"] >= 0.0
+    assert manifest["runtime"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                   "scipy": scipy.__version__}
 
 
 def test_usage_errors_exit_2(tmp_path, spec_file):
