@@ -148,21 +148,22 @@ def gibbs_allocations(measure, data, seed):
     return _draw_allocations(rng, allocation_probabilities(measure, arr))
 
 
-def _posterior_coefficients(prior, members):
-    """Normal-inverse-Gamma update for one component's member observations."""
-    n_g = len(members)
+def _posterior_coefficients(prior, arr, z, counts):
+    """Normal-inverse-Gamma update of every component, from the 1-based
+    allocations ``z`` of ``arr`` and their ``counts``: arrays (mn, kn, an, bn)
+    of length G.  Sums come from np.bincount, and the sum of squares from the
+    deviations about each component's mean (two passes, not sum y^2 - n ybar^2).
+    """
+    idx = z - 1
+    ybar = np.bincount(idx, weights=arr, minlength=len(counts)) / np.maximum(counts, 1)
+    dev = arr - ybar[idx]
+    ss = np.bincount(idx, weights=dev * dev, minlength=len(counts))
     k0 = prior.kappa0
     m0 = prior.normal_mean_loc
-    kn = k0 + n_g
-    if n_g:
-        ybar = float(np.mean(members))
-        ss = float(np.sum((members - ybar) ** 2))
-        mn = (k0 * m0 + n_g * ybar) / kn
-        bn = prior.ig_scale + 0.5 * ss + 0.5 * k0 * n_g * (ybar - m0) ** 2 / kn
-    else:
-        mn = m0
-        bn = prior.ig_scale
-    an = prior.ig_shape + 0.5 * n_g
+    kn = k0 + counts
+    mn = np.where(counts > 0, (k0 * m0 + counts * ybar) / kn, m0)
+    bn = prior.ig_scale + 0.5 * ss + 0.5 * k0 * counts * (ybar - m0) ** 2 / kn
+    an = prior.ig_shape + 0.5 * counts
     return mn, kn, an, bn
 
 
@@ -189,15 +190,14 @@ def _sweep(rng, arr, prior, eta, mu, sigma):
     if len(arr):
         L = _component_log_densities("normal", (mu, sigma), arr) + _logs(eta)
         z = _draw_allocations(rng, _responsibilities(L)[0])
-        counts = np.bincount(z - 1, minlength=G)
     else:
         z = np.empty(0, dtype=np.int64)
-        counts = np.zeros(G)
+    counts = np.bincount(z - 1, minlength=G)
     eta = rng.dirichlet(np.asarray(prior.dirichlet_weights) + counts)
     mu, sigma = np.empty(G), np.empty(G)
+    mn, kn, an, bn = (c.tolist() for c in _posterior_coefficients(prior, arr, z, counts))
     for g in range(G):
-        members = arr[z == g + 1] if len(arr) else arr
-        mu[g], sigma[g] = _draw_normal(rng, *_posterior_coefficients(prior, members))
+        mu[g], sigma[g] = _draw_normal(rng, mn[g], kn[g], an[g], bn[g])
     return z, eta, mu, sigma
 
 
@@ -306,7 +306,8 @@ def _predictive_densities(measures, points):
     arr = validate_observations(family, points)
     params = [np.stack(p) for p in zip(*(_measure_params(m) for m in measures))]
     weights = np.stack([m.weights for m in measures])
-    return _stacked_log_densities(family, weights, params, arr, np.exp)
+    out = np.empty((len(measures), len(arr)))
+    return _stacked_log_densities(family, weights, params, arr, np.exp, out)
 
 
 def _evaluate_functional(functional, measure):
@@ -383,7 +384,8 @@ def _prior_parameter_draws(prior, rng, m):
 
 def _loglik_of_draws(arr, etas, mus, sigmas):
     """Log-likelihood of ``arr`` under each draw (row of etas, mus, sigmas)."""
-    return _stacked_log_densities("normal", etas, (mus, sigmas), arr, lambda rows: rows.sum(axis=-1))
+    row_sums = lambda rows, out: rows.sum(axis=-1, out=out)  # noqa: E731
+    return _stacked_log_densities("normal", etas, (mus, sigmas), arr, row_sums, np.empty(len(etas)))
 
 
 def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):

@@ -52,12 +52,12 @@ class UnivariateNormal:
         return (self.mu, self.sigma)
 
     @staticmethod
-    def _log_density_rows(mu, sigma, y):
+    def _log_density_rows(mu, sigma, y, out=None):
         """log densities of the Normals with parameter arrays ``mu``, ``sigma``
-        at ``y``: shape (G, *y.shape), one row per atom, in place on one array.
-        -0.5 * z * z is formed as -2 * (-0.5 * z) ** 2, the same bits (overflow
-        included): scaling by a power of two is exact."""
-        out = y - _atom_rows(mu, y.ndim)
+        at ``y``: shape (G, *y.shape), one row per atom, in place on one array
+        (``out``, when given).  -0.5 * z * z is formed as -2 * (-0.5 * z) ** 2,
+        the same bits (overflow included): scaling by a power of two is exact."""
+        out = np.subtract(y, _atom_rows(mu, y.ndim), out=out)
         out /= _atom_rows(sigma, y.ndim)
         out *= -0.5
         np.square(out, out=out)
@@ -127,16 +127,17 @@ class BivariateNormal:
         return a, b, d, a * d - b * b
 
     @staticmethod
-    def _log_density_rows(mean, cov, y):
+    def _log_density_rows(mean, cov, y, out=None):
         """log densities of the planar Normals with parameter arrays ``mean``
-        (G, 2) and ``cov`` (G, 2, 2) at points ``y`` (..., 2): shape (G, ...)."""
+        (G, 2) and ``cov`` (G, 2, 2) at points ``y`` (..., 2): shape (G, ...).
+        Only the last operation writes to ``out``, when given."""
         rows = lambda values: _atom_rows(values, y.ndim - 1)  # noqa: E731
         a, b, d = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
         det = a * d - b * b
         u = y[..., 0] - rows(mean[:, 0])
         v = y[..., 1] - rows(mean[:, 1])
         quad = (rows(d) * u * u - rows(2.0 * b) * u * v + rows(a) * v * v) / rows(det)
-        return rows(-_LOG_TWO_PI - 0.5 * _logs(det)) - 0.5 * quad
+        return np.subtract(rows(-_LOG_TWO_PI - 0.5 * _logs(det)), 0.5 * quad, out=out)
 
     def log_density(self, y):
         y = np.asarray(y, dtype=float)
@@ -199,13 +200,15 @@ class Poisson:
         return (self.lam,)
 
     @staticmethod
-    def _log_density_rows(lam, y, log_fact=None):
+    def _log_density_rows(lam, y, log_fact=None, out=None):
         """log pmfs of the Poissons with rates ``lam`` at counts ``y``: shape
-        (G, *y.shape).  ``log_fact`` is log y!, when the caller has it."""
+        (G, *y.shape).  ``log_fact`` is log y!, when the caller has it; only
+        the last operation writes to ``out``, when given."""
         y = np.asarray(y, dtype=float)
         if log_fact is None:
             log_fact = gammaln(y + 1.0)
-        return y * _atom_rows(_logs(lam), y.ndim) - _atom_rows(lam, y.ndim) - log_fact
+        terms = y * _atom_rows(_logs(lam), y.ndim) - _atom_rows(lam, y.ndim)
+        return np.subtract(terms, log_fact, out=out)
 
     def log_density(self, y):
         return self._log_density_rows(np.array([self.lam]), y)[0]

@@ -1,13 +1,24 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 import mixkit as mk
-from mixkit.bayes import _loglik_of_draws, _posterior_coefficients, _prior_parameter_draws
+from mixkit.bayes import (
+    _loglik_of_draws,
+    _posterior_coefficients,
+    _predictive_densities,
+    _prior_parameter_draws,
+)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -40,7 +51,8 @@ def test_prior_mean_scale_maps_to_precision_factor():
 def test_posterior_coefficients_hand_computed():
     # three observations 1, 2, 4 against loc 0, scale 1, shape 2, scale 1
     prior = mk.ConjugatePrior((1.0,), 0.0, 1.0, 2.0, 1.0)
-    mn, kn, an, bn = _posterior_coefficients(prior, np.array([1.0, 2.0, 4.0]))
+    z = np.ones(3, dtype=np.int64)
+    mn, kn, an, bn = (c[0] for c in _posterior_coefficients(prior, np.array([1.0, 2.0, 4.0]), z, np.array([3])))
     assert mn == pytest.approx(1.75, rel=1e-14)
     assert kn == pytest.approx(4.0, rel=1e-14)
     assert an == pytest.approx(3.5, rel=1e-14)
@@ -49,8 +61,11 @@ def test_posterior_coefficients_hand_computed():
 
 def test_posterior_coefficients_with_no_members_reduce_to_prior():
     prior = mk.ConjugatePrior((1.0,), 1.5, 2.0, 3.0, 4.0)
-    mn, kn, an, bn = _posterior_coefficients(prior, np.array([]))
-    assert (mn, kn, an, bn) == (1.5, prior.kappa0, 3.0, 4.0)
+    # no data at all, and an empty first component beside a filled second
+    for arr, z, counts in ((np.array([]), np.empty(0, dtype=np.int64), np.array([0])),
+                           (np.array([3.0, -1.0]), np.array([2, 2]), np.array([0, 2]))):
+        mn, kn, an, bn = (c[0] for c in _posterior_coefficients(prior, arr, z, counts))
+        assert (mn, kn, an, bn) == (1.5, prior.kappa0, 3.0, 4.0)
 
 
 def test_default_prior_centers_on_the_data():
@@ -276,6 +291,68 @@ def test_per_draw_loglik_does_not_depend_on_blocks(evidence_draws, monkeypatch):
         monkeypatch.setattr(mk.models, "BLOCK_VALUES", block_values)
         results.append(mk.log_marginal_likelihood(data, 3, prior, config))
     assert results[0] == results[1]
+
+
+def _stacked_reduces(data, draws):
+    """Both reduces of the stacked kernel on one set of draws: the evidence's
+    per-draw log-likelihoods and the predictive's densities at ``data``."""
+    etas, mus, sigmas = draws
+    measures = [mk.MixingMeasure(tuple(zip(w.tolist(), map(mk.UnivariateNormal, m, sd))))
+                for w, m, sd in zip(etas, mus, sigmas)]
+    return _loglik_of_draws(data, etas, mus, sigmas), _predictive_densities(measures, data)
+
+
+@pytest.mark.parametrize("G", [1, 2, 3])
+def test_stacked_workspace_gives_the_same_bits_for_every_block_size(G, monkeypatch):
+    # 500 draws at 300 points: the default size makes several blocks with a
+    # short last one, and 10,000 values a short last block at every G
+    data = mk.validate_observations("normal", np.random.default_rng(90 + G).normal(0.0, 2.0, 300))
+    draws = _prior_parameter_draws(mk.default_prior(data, G), np.random.default_rng(95), 500)
+    kept = [a.copy() for a in (data, *draws)]
+    default = mk.models.BLOCK_VALUES
+    assert 500 % (default // (G * 300)) and 500 % (10_000 // (G * 300))
+    results = []
+    for block_values in (1, 10_000, default, default, 10**12):
+        monkeypatch.setattr(mk.models, "BLOCK_VALUES", block_values)
+        results.append(_stacked_reduces(data, draws))
+    for lls, densities in results[1:]:
+        assert lls.tobytes() == results[0][0].tobytes()
+        assert densities.tobytes() == results[0][1].tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, (data, *draws)))
+
+
+# minor page faults of one _loglik_of_draws call at n=1000, with 1000 and then
+# 8000 prior draws, in a fresh interpreter (the allocator's history decides
+# whether freed memory goes back to the kernel, so it must not depend on the
+# tests run before); prints the second count minus the first
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+import mixkit as mk
+from mixkit.bayes import _loglik_of_draws, _prior_parameter_draws
+data = mk.validate_observations("normal", np.random.default_rng(97).normal(0.0, 2.0, 1000))
+prior = mk.default_prior(data, int(sys.argv[1]))
+counts = []
+for m in (1000, 8000):
+    draws = _prior_parameter_draws(prior, np.random.default_rng(98), m)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _loglik_of_draws(data, *draws)
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(counts[1] - counts[0])
+"""
+
+
+@pytest.mark.parametrize("G", [1, 3])
+def test_evidence_blocks_add_no_page_faults_with_more_draws(G):
+    # the blocks of one call reuse one workspace, so eight times the draws
+    # must not fault in fresh pages block after block (a fresh workspace per
+    # block added over 30,000 minor faults)
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(G)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) < 256
 
 
 def test_per_draw_loglik_ignores_atom_order(evidence_draws):

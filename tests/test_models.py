@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mixkit as mk
 from conftest import random_normal_model
-from mixkit.models import _logsumexp, _sort_atoms
+from mixkit.models import _logsumexp, _logsumexp_into, _sort_atoms
 
 # Reference values computed with 50-digit arithmetic, independent of this
 # package, then rounded to double precision.
@@ -254,6 +254,33 @@ def test_logsumexp_equals_sorted_reference_bitwise(a):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.all(np.isneginf(got[np.all(np.isneginf(a), axis=1)]))
+
+
+def test_logsumexp_of_one_or_two_atoms_skips_the_sort_with_the_same_bits():
+    # one atom is a + 0.0 and two are summed unsorted; both must keep the
+    # sorted reference's bits at the edges: -inf, +inf, -0.0, |a| up to 800
+    rng = np.random.default_rng(11)
+    edges = np.array([-math.inf, math.inf, -0.0, 0.0, 800.0, -800.0])
+    for G in (1, 2):
+        a = rng.normal(size=(3000, G)) * rng.choice([1.0, 30.0, 800.0], size=(3000, 1))
+        picked = rng.random(a.shape) < 0.25
+        a[picked] = rng.choice(edges, size=picked.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _logsumexp(a), _reference_logsumexp(a)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_atom_matrices(), st.integers(1, 4))
+def test_logsumexp_in_place_on_an_atom_major_block_equals_the_wrapper(a, k):
+    # the stacked kernel's call: a (k, n, G) view of (G, k, n) memory reduced
+    # in place, with workspace rows; k copies of the matrix, rolled
+    n, G = a.shape
+    block = np.stack([np.roll(a, s, axis=0).T for s in range(k)], axis=1)
+    atoms = np.moveaxis(block, 0, -1)
+    want = _logsumexp(atoms)
+    got = _logsumexp_into(atoms, atoms, np.empty((k, n)), np.empty((k, n)))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_logsumexp_of_a_vector_keeps_np_sort():
