@@ -24,11 +24,12 @@ import numpy as np
 
 from .components import UnivariateNormal, validate_observations
 from .em import _responsibilities, e_step
-from .errors import DomainError
+from .errors import DomainError, _require_counts
 from .models import (
     MixingMeasure,
     MixtureModel,
     _component_log_densities,
+    _exact_sum,
     _logs,
     _logsumexp,
     _measure_from_params,
@@ -101,6 +102,7 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_counts(self, "burn_in", "n_samples", "thin")
         if self.burn_in < 0 or self.n_samples < 1 or self.thin < 1:
             raise DomainError("need burn_in >= 0, n_samples >= 1, thin >= 1")
 
@@ -348,6 +350,7 @@ class EvidenceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_counts(self, "n_prior_draws")
         if self.n_prior_draws < 1000:
             raise DomainError("n_prior_draws must be at least 1000")
 
@@ -414,12 +417,12 @@ def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
     mean_w = w.mean()
     log_value = float(_logsumexp(lls) - math.log(m))
     log_se = float(w.std(ddof=1) / (mean_w * math.sqrt(m)))
-    total = math.fsum(w.tolist())
+    total = _exact_sum(w)
     return EvidenceEstimate(
         log_value=log_value,
         log_se=log_se,
         underflowed=False,
-        ess=total * total / math.fsum((w * w).tolist()),
+        ess=total * total / _exact_sum(w * w),
         max_weight_share=float(w.max()) / total,
     )
 

@@ -578,8 +578,10 @@ def main(argv=None):
     except (DomainError, InvalidMeasureError) as exc:
         print(f"mixkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    computed = time.monotonic()
     for path, text in produced.outputs.items():
         _atomic_write_text(path, text)
+    written = time.monotonic()
     manifest = {
         "command": ["mixkit"] + list(argv),
         "seed": produced.seed,
@@ -592,7 +594,9 @@ def main(argv=None):
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "wall_clock_seconds": time.monotonic() - started,
+        "wall_clock_seconds": written - started,
+        "compute_seconds": computed - started,
+        "write_seconds": written - computed,
         "extra": produced.extra,
     }
     _atomic_write_text(next(iter(produced.outputs)) + ".manifest.json", _json_text(manifest))

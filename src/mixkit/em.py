@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import validate_observations
-from .errors import DegeneratePointError, DomainError, EmptyComponentError
+from .errors import DegeneratePointError, DomainError, EmptyComponentError, _require_counts
 from .models import MixingMeasure, MixtureModel, canonicalize, log_weighted_densities, model_to_dict
 from .models import (
     _atom_sum,
     _component_log_densities,
+    _exact_sum,
     _log_factorials,
     _logs,
     _logsumexp,
@@ -53,6 +54,7 @@ class EMConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_counts(self, "max_iter", "restarts")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
         if not self.tol > 0.0:
@@ -245,7 +247,7 @@ def _single_em_run(data, G, family, config, rng, floor, log_fact):
     weights, params = _initial_params(data, G, family, config, rng, floor)
     L = _component_log_densities(family, params, data, log_fact) + _logs(weights)
     r, norm = _responsibilities(L)
-    ll = math.fsum(norm.tolist())
+    ll = _exact_sum(norm)
     trace = [ll]
     reseeds = []
     converged = False
@@ -263,7 +265,7 @@ def _single_em_run(data, G, family, config, rng, floor, log_fact):
             weights = weights / weights.sum()
         L = _component_log_densities(family, params, data, log_fact) + _logs(weights)
         r, norm = _responsibilities(L)
-        ll_new = math.fsum(norm.tolist())
+        ll_new = _exact_sum(norm)
         trace.append(ll_new)
         if abs(ll_new - ll) / (1.0 + abs(ll_new)) < config.tol:
             converged = True
@@ -328,7 +330,7 @@ def hard_allocations(model, data):
 def _hard_step(L):
     """Argmax labels and the classification log-likelihood, from one matrix."""
     idx = _atom_argmax(L)
-    return idx + 1, math.fsum(L[np.arange(len(L)), idx].tolist())
+    return idx + 1, _exact_sum(L[np.arange(len(L)), idx])
 
 
 def _one_hot(z, G):

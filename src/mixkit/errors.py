@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the check of count fields."""
+
+import operator
 
 
 class MixtureError(Exception):
@@ -49,3 +51,17 @@ class SpecDocumentError(MixtureError, ValueError):
 
 class DataFileError(MixtureError, ValueError):
     """A data file could not be read or parsed."""
+
+
+def _require_counts(config, *names):
+    """DomainError unless each named field of ``config`` is an integer.
+
+    Python and numpy integers pass (anything ``operator.index`` accepts); a
+    float such as 2.5 or 2.0 is rejected here rather than deep inside a run.
+    """
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, not {value!r}") from None

@@ -235,6 +235,36 @@ def _logsumexp_into(a, terms, shift, out):
     return out
 
 
+def _exact_sum(x):
+    """``math.fsum(x.tolist())`` of a 1-D float64 array, bit for bit, in numpy.
+
+    Error-free vector extraction (Rump, Ogita & Oishi 2008): with every
+    |p_i| < 2^e and sigma = 2^(e + floor(log2 n) + 2), q = (p + sigma) - sigma
+    rounds each entry to a multiple of ulp(sigma) / 2 no larger than 2^e, so
+    q sums exactly in any order, and p - q is the exact remainder, at least
+    50 - floor(log2 n) bits shorter.  The few exact partial sums then go to
+    math.fsum, whose correctly rounded result is that of the whole array.
+    Empty and non-finite input, the region where fsum's own partials could
+    overflow, and a zero sum (whose sign fsum decides) go to math.fsum itself.
+    """
+    n = len(x)
+    top = float(np.abs(x).max()) if n else 0.0
+    if not 0.0 < top * n < 2.0**1000:
+        return math.fsum(x.tolist())
+    bits = n.bit_length() + 1
+    partials = []
+    p = x
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + bits)
+        q = p + sigma
+        q -= sigma
+        partials.append(float(q.sum()))
+        p = p - q
+        top = float(np.abs(p, out=q).max())
+    total = math.fsum(partials)
+    return total if total else math.fsum(x.tolist())
+
+
 def _measure_params(measure):
     """The family's parameter arrays of a measure, in atom order.
 
@@ -327,13 +357,15 @@ def log_weighted_densities(model, data):
 def log_likelihood(model, data):
     """Sum over observations of the log mixture density.
 
-    The empty dataset has log-likelihood 0 by the empty-product convention;
-    -inf is returned (not raised) when some observation has zero density.
+    The sum is the correctly rounded exact one (see _exact_sum), so the order
+    of the observations cannot change a bit.  The empty dataset has
+    log-likelihood 0 by the empty-product convention; -inf is returned (not
+    raised) when some observation has zero density.
     """
     arr = validate_observations(model.family, data)
     if arr.shape[0] == 0:
         return 0.0
-    return math.fsum(_logsumexp(log_weighted_densities(model, arr)).tolist())
+    return _exact_sum(_logsumexp(log_weighted_densities(model, arr)))
 
 
 def model_to_dict(model):

@@ -149,6 +149,21 @@ def test_gibbs_requires_matching_prior_size(flat_prior):
         mk.run_gibbs(np.array([1.0, 2.0]), 3, flat_prior, mk.GibbsConfig(burn_in=1, n_samples=1))
 
 
+@pytest.mark.parametrize("field, value", [("burn_in", 1.5), ("n_samples", 2.5), ("thin", 1.5)])
+def test_gibbs_config_counts_must_be_integers(field, value):
+    with pytest.raises(mk.DomainError, match=field):
+        mk.GibbsConfig(**{field: value})
+    assert getattr(mk.GibbsConfig(**{field: np.int32(2)}), field) == 2
+
+
+def test_evidence_config_draw_count_must_be_an_integer():
+    with pytest.raises(mk.DomainError, match="n_prior_draws"):
+        mk.EvidenceConfig(n_prior_draws=1000.5)
+    with pytest.raises(mk.DomainError, match="n_prior_draws"):
+        mk.EvidenceConfig(n_prior_draws=2000.0)
+    assert mk.EvidenceConfig(n_prior_draws=np.int64(1000)).n_prior_draws == 1000
+
+
 def test_param_region_membership():
     region = mk.ParamRegion(mu_min=0.0, sigma_max=2.0)
     assert region.contains(mk.UnivariateNormal(1.0, 1.0))

@@ -388,7 +388,9 @@ def test_outputs_then_one_manifest_and_nothing_on_failure(subcommand, tmp_path, 
     manifest = json.loads((run / manifest_path).read_text())
     assert manifest["command"] == ["mixkit"] + argv
     assert manifest["outputs"] == outputs
-    assert manifest["wall_clock_seconds"] >= 0.0
+    wall = manifest["wall_clock_seconds"]
+    assert wall >= 0.0
+    assert 0.0 <= manifest["compute_seconds"] <= wall and 0.0 <= manifest["write_seconds"] <= wall
     assert manifest["runtime"] == {"python": platform.python_version(), "numpy": np.__version__,
                                    "scipy": scipy.__version__}
 
@@ -445,11 +447,14 @@ def test_data_reader_accepts_header_and_headerless(tmp_path, spec_file):
 
 def test_console_entry_point_runs(tmp_path, spec_file):
     out = str(tmp_path / "sim.csv")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "mixkit.cli", "simulate", "--spec", spec_file,
          "--n", "10", "--seed", "1", "--out", out],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert len(read_rows(out)) == 10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mixkit as mk
+import mixkit.em
 
 # posterior weight of the first component at y = 0 under
 # 0.5 N(0,1) + 0.5 N(4,1); equals 1 / (1 + exp(-8))
@@ -138,6 +139,13 @@ def test_run_em_argument_validation(two_normal_separated):
         mk.EMConfig(max_iter=0)
     with pytest.raises(mk.DomainError):
         mk.EMConfig(init="nonsense")
+
+
+@pytest.mark.parametrize("field, value", [("max_iter", 2.5), ("restarts", 1.5), ("max_iter", 3.0)])
+def test_em_config_counts_must_be_integers(field, value):
+    with pytest.raises(mk.DomainError, match=field):
+        mk.EMConfig(**{field: value})
+    assert getattr(mk.EMConfig(**{field: np.int64(3)}), field) == 3
 
 
 def test_run_em_needs_enough_distinct_points():
@@ -282,3 +290,22 @@ def test_reseeds_are_recorded():
     assert exc.value.component == 3
     clean = mk.run_em(data, 2, "normal", mk.EMConfig(seed=0))
     assert clean.reseeds == ()
+
+
+@pytest.mark.parametrize("family", ["normal", "poisson", "bivariate_normal"])
+def test_traces_equal_those_of_a_per_point_fsum(family, request, monkeypatch):
+    # every EM and hard-EM trace entry is math.fsum of the per-point terms, bit for bit
+    truth = request.getfixturevalue(FIXTURE_OF[family])
+    data = mk.sample_mixture(truth, 500, 79).data
+    configs = [mk.EMConfig(seed=4, restarts=restarts, **budget)
+               for restarts in (0, 3) for budget in ({}, {"max_iter": 15, "tol": 1e-300})]
+    fits = [(mk.run_em, config) for config in configs] + [(mk.run_hard_em, configs[2])]
+
+    fast = [[v.hex() for v in fit(data, 2, family, config).loglik_trace] for fit, config in fits]
+    calls = []
+    monkeypatch.setattr(mixkit.em, "_exact_sum", lambda x: calls.append(x) or math.fsum(x.tolist()))
+    for (fit, config), want in zip(fits, fast):
+        calls.clear()
+        trace = fit(data, 2, family, config).loglik_trace
+        assert [v.hex() for v in trace] == want
+        assert len(calls) >= len(trace)  # every entry went through the patched sum

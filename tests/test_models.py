@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mixkit as mk
 from conftest import random_normal_model
-from mixkit.models import _logsumexp, _logsumexp_into, _sort_atoms
+from mixkit.models import _exact_sum, _logsumexp, _logsumexp_into, _sort_atoms
 
 # Reference values computed with 50-digit arithmetic, independent of this
 # package, then rounded to double precision.
@@ -298,3 +298,80 @@ def test_component_matrix_is_atom_major(three_normal_unimodal, two_poisson, two_
         assert L.flags["F_CONTIGUOUS"]
         for g, (w, c) in enumerate(model.measure.atoms):
             assert np.array_equal(L[:, g], c.log_density(data) + math.log(w))
+
+
+def _fsum_outcome(total, x):
+    """repr of ``total(x)`` (value and sign of zero), or the exception it raised."""
+    try:
+        return repr(total(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_sum(x):
+    return math.fsum(x.tolist())
+
+
+@st.composite
+def _summands(draw):
+    """Float64 vectors of any exponent: random draws between two exponents
+    (subnormals and signed zeros at the bottom), optional near-cancelling
+    negated copies, and a few hypothesis floats, shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 5000))
+    lo = draw(st.integers(-1074, 990))
+    hi = draw(st.integers(lo, min(lo + draw(st.sampled_from([0, 5, 60, 2100])), 990)))
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi + 1, n))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        x = np.concatenate([x, -x[:k] * (1.0 + draw(st.sampled_from([0.0, 2.0**-52, 2.0**-30])))])
+    extra = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    return rng.permutation(np.concatenate([x, np.array(extra, dtype=float)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_summands())
+def test_exact_sum_is_fsum_bit_for_bit(x):
+    assert _fsum_outcome(_exact_sum, x) == _fsum_outcome(_reference_sum, x)
+
+
+@pytest.mark.parametrize("x, want", [
+    ([1e16, 1.0, -1e16], 1.0),
+    ([1.0, 2.0**-53, 2.0**-106], 1.0 + 2.0**-52),  # just above a half-ulp tie: rounds up
+    ([2.0**53, 1.0, 2.0**-60], 2.0**53 + 2.0),
+    ([1e100, 1.0, -1e100, 1e-100], 1.0),
+])
+def test_exact_sum_is_right_where_a_float_sum_is_not(x, want):
+    x = np.array(x)
+    assert float(np.sum(x)) != want
+    assert _exact_sum(x) == want == math.fsum(x.tolist())
+
+
+def test_exact_sum_of_non_finite_and_overflowing_input_is_fsum():
+    assert _exact_sum(np.array([math.inf])) == math.inf
+    assert _exact_sum(np.array([1.0, -math.inf])) == -math.inf
+    assert math.isnan(_exact_sum(np.array([math.nan])))
+    assert math.isnan(_exact_sum(np.array([1.0, math.inf, math.nan])))
+    for x, error in (([math.inf, -math.inf], ValueError), ([1e308, 1e308, -1e308], OverflowError)):
+        x = np.array(x)
+        with pytest.raises(error) as ours:
+            _exact_sum(x)
+        with pytest.raises(error) as theirs:
+            math.fsum(x.tolist())
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_exact_sum_of_zeros_and_of_nothing_has_fsums_sign():
+    for x in ([], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [-5e-324, 5e-324]):
+        x = np.array(x, dtype=float)
+        assert repr(_exact_sum(x)) == repr(math.fsum(x.tolist()))
+
+
+def test_log_likelihood_ignores_observation_order():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        model = random_normal_model(rng)
+        y = mk.sample_mixture(model, 3000, rng).data
+        want = mk.log_likelihood(model, y).hex()
+        for _ in range(5):
+            assert mk.log_likelihood(model, rng.permutation(y)).hex() == want
