@@ -24,7 +24,7 @@ import numpy as np
 
 from .components import UnivariateNormal, validate_observations
 from .em import _responsibilities, e_step
-from .errors import DomainError, _require_counts
+from .errors import DomainError, _require_counts, _require_seed
 from .models import (
     MixingMeasure,
     MixtureModel,
@@ -103,6 +103,7 @@ class GibbsConfig:
 
     def __post_init__(self):
         _require_counts(self, "burn_in", "n_samples", "thin")
+        _require_seed(self.seed)
         if self.burn_in < 0 or self.n_samples < 1 or self.thin < 1:
             raise DomainError("need burn_in >= 0, n_samples >= 1, thin >= 1")
 
@@ -351,6 +352,7 @@ class EvidenceConfig:
 
     def __post_init__(self):
         _require_counts(self, "n_prior_draws")
+        _require_seed(self.seed)
         if self.n_prior_draws < 1000:
             raise DomainError("n_prior_draws must be at least 1000")
 

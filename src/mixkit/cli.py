@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -53,7 +52,7 @@ from .compound import (
     negbinom_pmf,
     negbinom_support_bound,
 )
-from .dp import expected_cluster_count, sample_crp_labels
+from .dp import crp_block_counts, expected_cluster_count
 from .em import EMConfig, fit_report, run_em, run_hard_em
 from .errors import (
     DataFileError,
@@ -79,12 +78,6 @@ ENV_SEED = "MIXKIT_SEED"
 EVIDENCE_ESS_FLOOR = 10.0
 
 
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _atomic_write_text(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mixkit-tmp-")
@@ -98,13 +91,23 @@ def _atomic_write_text(path, text):
         raise
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+def _csv_column(values):
+    """CSV fields of one column: integers exactly, the rest (bools too, as 1
+    and 0) at 17 significant digits.  The column's numpy dtype decides."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return list(map(str, arr.tolist()))
+    return [format(v, ".17g") for v in arr.tolist()]
+
+
+def _csv_text(header, columns):
+    """RFC-4180 text (CRLF line ends) of a header and equal-length columns.
+
+    No field needs quoting: headers are plain names and numbers hold no
+    comma, quote or line break.
+    """
+    lines = [",".join(header), *map(",".join, zip(*map(_csv_column, columns)))]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _json_text(doc):
@@ -226,12 +229,10 @@ def _cmd_simulate(args):
         sample = sample_mixture(obj, n, seed)
         data, z = sample.data, sample.z
     if obj.family == "bivariate_normal":
-        header = ["y1", "y2", "z"]
-        rows = [(data[i, 0], data[i, 1], z[i]) for i in range(n)]
+        header, columns = ["y1", "y2", "z"], [data[:, 0], data[:, 1], z]
     else:
-        header = ["y", "z"]
-        rows = [(data[i], z[i]) for i in range(n)]
-    return Produced({args.out: _csv_text(header, rows)}, seed, {"n": n, "spec": args.spec},
+        header, columns = ["y", "z"], [data, z]
+    return Produced({args.out: _csv_text(header, columns)}, seed, {"n": n, "spec": args.spec},
                     [args.spec], {"rows": n})
 
 
@@ -263,7 +264,7 @@ def _cmd_density(args):
     grid = _parse_grid(args.grid) if args.grid else None
     xs, vals, extra = _density_table(model, grid)
     name = "pmf" if model.family == "poisson" else "density"
-    return Produced({args.out: _csv_text(["y", name], zip(xs, vals))}, None,
+    return Produced({args.out: _csv_text(["y", name], [xs, vals])}, None,
                     {"spec": args.spec, "grid": args.grid}, [args.spec], extra)
 
 
@@ -281,9 +282,7 @@ def _gibbs_outputs(sample, grid):
             "sigma": [c.sigma for c in snap.measure.components],
         }
         chain_lines.append(json.dumps(rec))
-    pred_rows = list(
-        zip(xs, predictive.mean, predictive.quantiles["2.5%"], predictive.quantiles["97.5%"])
-    )
+    pred_columns = [xs, predictive.mean, predictive.quantiles["2.5%"], predictive.quantiles["97.5%"]]
     report = {
         "method": "gibbs",
         "n_snapshots": len(sample),
@@ -295,7 +294,7 @@ def _gibbs_outputs(sample, grid):
         },
         "predictive_grid": {"lo": lo, "hi": hi, "points": points},
     }
-    return report, "\n".join(chain_lines) + "\n", pred_rows
+    return report, "\n".join(chain_lines) + "\n", pred_columns
 
 
 def _warn_em(state):
@@ -360,7 +359,7 @@ def _cmd_fit(args):
     else:
         span = float(data.max() - data.min()) or 1.0
         grid = (float(data.min()) - 0.1 * span, float(data.max()) + 0.1 * span, 101)
-    report, chain_text, pred_rows = _gibbs_outputs(sample, grid)
+    report, chain_text, pred_columns = _gibbs_outputs(sample, grid)
     chain_path = args.out + ".chain.ndjson"
     pred_path = args.out + ".predictive.csv"
     report.update(
@@ -376,7 +375,8 @@ def _cmd_fit(args):
     outputs = {
         args.out: _json_text(report),
         chain_path: chain_text,
-        pred_path: _csv_text(["y", "predictive_mean", "predictive_q025", "predictive_q975"], pred_rows),
+        pred_path: _csv_text(["y", "predictive_mean", "predictive_q025", "predictive_q975"],
+                             pred_columns),
     }
     inputs = [args.data] + ([args.prior] if args.prior else [])
     return Produced(outputs, seed, report["config"], inputs, {"n_snapshots": len(sample)})
@@ -395,7 +395,7 @@ def _cmd_select_g(args):
     estimates = evidence_over_G(data, sizes, lambda G: default_prior(data, G), config)
     prior_on_G = np.full(len(sizes), 1.0 / len(sizes))
     posterior = combine_log_marginals([e.log_value for e in estimates], prior_on_G)
-    rows = [(G, e.log_value, p) for G, e, p in zip(sizes, estimates, posterior)]
+    columns = [sizes, [e.log_value for e in estimates], posterior]
     thin = [f"G={G} ({e.ess:.3g})" for G, e in zip(sizes, estimates) if not e.ess >= EVIDENCE_ESS_FLOOR]
     if thin:
         print(
@@ -411,7 +411,7 @@ def _cmd_select_g(args):
         "max_weight_shares": [e.max_weight_share for e in estimates],
         "posterior_sum": math.fsum(posterior.tolist()),
     }
-    return Produced({args.out: _csv_text(["G", "log_marginal", "posterior"], rows)}, seed,
+    return Produced({args.out: _csv_text(["G", "log_marginal", "posterior"], columns)}, seed,
                     {"g_min": g_min, "g_max": g_max, "prior_draws": args.prior_draws},
                     [args.data], extra)
 
@@ -433,23 +433,26 @@ def _cmd_compound(args):
     )
     if isinstance(params, BetaBinomialParams):
         ys = range(params.trials + 1)
-        rows = [(y, betabinom_pmf(params, y)) for y in ys]
-        header = ["y", "pmf"]
+        pmf = [betabinom_pmf(params, y) for y in ys]
+        header, columns = ["y", "pmf"], [ys, pmf]
     elif isinstance(params, NegativeBinomialParams):
         y_max = int(args.y_max) if args.y_max is not None else negbinom_support_bound(params)
         if y_max < 0:
             raise DomainError("--y-max must be non-negative")
-        rows = [(y, negbinom_pmf(params, y)) for y in range(y_max + 1)]
-        header = ["y", "pmf"]
+        ys = range(y_max + 1)
+        pmf = [negbinom_pmf(params, y) for y in ys]
+        header, columns = ["y", "pmf"], [ys, pmf]
     else:
         k = len(params.concentration)
         n_cells = math.comb(params.trials + k - 1, k - 1)
         if n_cells > 200_000:
             raise DomainError(f"{n_cells} count vectors is too many to tabulate")
+        cells = list(_compositions(params.trials, k))
+        pmf = [dirmult_pmf(params, c) for c in cells]
         header = [f"y{j + 1}" for j in range(k)] + ["pmf"]
-        rows = [(*c, dirmult_pmf(params, c)) for c in _compositions(params.trials, k)]
-    return Produced({args.out: _csv_text(header, rows)}, None, {"spec": args.spec}, [args.spec],
-                    {"pmf_sum": math.fsum(float(r[-1]) for r in rows)})
+        columns = [*zip(*cells), pmf]
+    return Produced({args.out: _csv_text(header, columns)}, None, {"spec": args.spec}, [args.spec],
+                    {"pmf_sum": math.fsum(pmf)})
 
 
 def _cmd_modes(args):
@@ -462,7 +465,7 @@ def _cmd_modes(args):
     else:
         locations = find_modes(model)
     print(len(locations))
-    table = _csv_text(["mode", "location"], [(k + 1, x) for k, x in enumerate(locations)])
+    table = _csv_text(["mode", "location"], [range(1, len(locations) + 1), locations])
     return Produced({args.out: table}, None, {"spec": args.spec, "grid": args.grid}, [args.spec],
                     {"count": len(locations), "locations": [float(x) for x in locations]})
 
@@ -474,13 +477,12 @@ def _cmd_crp(args):
     runs = int(args.runs)
     if runs < 1:
         raise DomainError("--runs must be at least 1")
-    labels = sample_crp_labels(alpha, n, runs, seed)
-    clusters = labels.max(axis=1).astype(int) + 1
+    clusters = crp_block_counts(alpha, n, runs, seed)
     histogram = np.bincount(clusters, minlength=n + 1)[1:]
     expected = expected_cluster_count(alpha, n)
-    rows = [(k + 1, int(c), c / runs) for k, c in enumerate(histogram)]
-    print(f"expected_clusters {_fmt(expected)}")
-    return Produced({args.out: _csv_text(["clusters", "runs", "frequency"], rows)}, seed,
+    columns = [range(1, n + 1), histogram, histogram / runs]
+    print(f"expected_clusters {format(expected, '.17g')}")
+    return Produced({args.out: _csv_text(["clusters", "runs", "frequency"], columns)}, seed,
                     {"alpha": alpha, "n": n, "runs": runs}, [],
                     {"empirical_mean": float(clusters.mean()), "expected_clusters": expected})
 

@@ -9,7 +9,8 @@ computes the exact expected number of blocks.
 Seating uses the copy rule: with probability i/(alpha+i) customer i (0-based)
 copies the label of a uniformly chosen earlier customer, which joins block j
 with probability n_j/(alpha+i); otherwise it opens a new block.  One uniform
-per customer decides both, so a run costs O(n).
+per customer decides both, so a run costs O(n).  Whether a customer opens a
+block depends on its uniform alone, so block counts need no labels.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from itertools import chain
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DomainError, _require_count, _require_counts, _require_seed
+
+# uniforms drawn per block of seating steps (256 KiB of float64)
+_SEAT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -75,16 +79,21 @@ class CRPConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError("alpha must be positive")
+        _require_alpha(self.alpha)
+        _require_counts(self, "n")
+        _require_seed(self.seed)
         if self.n < 1:
             raise DomainError("n must be at least 1")
 
 
+def _require_alpha(alpha):
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, not {alpha!r}")
+
+
 def partition_log_prob(partition, alpha):
     """Exact log-probability of a partition under concentration alpha."""
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    _require_alpha(alpha)
     n = partition.n
     terms = [partition.d * math.log(alpha)]
     terms += [float(gammaln(size)) for size in partition.sizes]
@@ -114,6 +123,42 @@ def sample_crp(config):
     return Partition.from_labels(sample_crp_labels(config.alpha, config.n, 1, config.seed)[0].tolist())
 
 
+def _seat(alpha, n, runs, rng, labels=None):
+    """Seat n customers in each of ``runs`` runs; the number of blocks per run.
+
+    The uniforms are drawn a cache-sized block of customers at a time, in the
+    order of one ``rng.random(runs)`` per customer.  Labels are written into
+    ``labels``, a zeroed (runs, n) array, only when one is passed.
+    """
+    opened = np.ones(runs, dtype=np.int64)
+    rows = np.arange(runs)
+    step = max(1, _SEAT_BLOCK // runs)
+    for lo in range(1, n, step):
+        i = np.arange(lo, min(lo + step, n))
+        u = rng.random((i.size, runs))
+        u *= (alpha + i)[:, None]
+        opens = u >= i[:, None]
+        if labels is None:
+            opened += opens.sum(axis=0)
+            continue
+        for k, col in enumerate(i.tolist()):
+            source = np.where(opens[k], 0.0, u[k]).astype(np.int64)
+            labels[:, col] = np.where(opens[k], opened, labels[rows, source])
+            opened += opens[k]
+    return opened
+
+
+def _seating(alpha, n, runs, seed):
+    """Checked (n, runs, rng) for :func:`_seat`; ``seed`` may be a Generator."""
+    _require_alpha(alpha)
+    n, runs = _require_count("n", n), _require_count("runs", runs)
+    if n < 1 or runs < 1:
+        raise DomainError("n and runs must be at least 1")
+    if not isinstance(seed, np.random.Generator):
+        _require_seed(seed)
+    return n, runs, np.random.default_rng(seed)
+
+
 def sample_crp_labels(alpha, n, runs, seed):
     """Vectorized seating across many independent runs.
 
@@ -121,22 +166,23 @@ def sample_crp_labels(alpha, n, runs, seed):
     restricted-growth form, suitable for frequency tests against the exact
     law.  Customer i draws u uniform on [0, alpha + i): it copies the label
     of customer floor(u) when u < i and opens the next block otherwise.
+    The array takes 8 * runs * n bytes; the ``crp`` command does not build
+    it but counts blocks with :func:`crp_block_counts`.
     """
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
-    if n < 1 or runs < 1:
-        raise DomainError("n and runs must be at least 1")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    n, runs, rng = _seating(alpha, n, runs, seed)
     labels = np.zeros((runs, n), dtype=np.int64)
-    opened = np.ones(runs, dtype=np.int64)
-    rows = np.arange(runs)
-    for i in range(1, n):
-        u = rng.random(runs) * (alpha + i)
-        join = u < i
-        source = np.where(join, u, 0.0).astype(np.int64)
-        labels[:, i] = np.where(join, labels[rows, source], opened)
-        opened += ~join
+    _seat(alpha, n, runs, rng, labels)
     return labels
+
+
+def crp_block_counts(alpha, n, runs, seed):
+    """Number of blocks in each of ``runs`` independent seatings of n customers.
+
+    Bit for bit ``sample_crp_labels(alpha, n, runs, seed).max(axis=1) + 1``
+    from the same uniforms, in O(runs) memory instead of the label matrix.
+    """
+    n, runs, rng = _seating(alpha, n, runs, seed)
+    return _seat(alpha, n, runs, rng)
 
 
 def expected_cluster_count(alpha, n):
@@ -144,8 +190,7 @@ def expected_cluster_count(alpha, n):
 
     Grows like alpha * log(n / alpha) for large n.
     """
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    _require_alpha(alpha)
     n = int(n)
     if n < 1:
         raise DomainError("n must be at least 1")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import validate_observations
-from .errors import DegeneratePointError, DomainError, EmptyComponentError, _require_counts
+from .errors import DegeneratePointError, DomainError, EmptyComponentError, _require_counts, _require_seed
 from .models import MixingMeasure, MixtureModel, canonicalize, log_weighted_densities, model_to_dict
 from .models import (
     _atom_sum,
@@ -55,6 +55,7 @@ class EMConfig:
 
     def __post_init__(self):
         _require_counts(self, "max_iter", "restarts")
+        _require_seed(self.seed)
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
         if not self.tol > 0.0:

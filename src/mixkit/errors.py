@@ -1,6 +1,8 @@
-"""Exception types shared across the toolkit, and the check of count fields."""
+"""Exception types shared across the toolkit, and the checks of count and seed fields."""
 
 import operator
+
+import numpy as np
 
 
 class MixtureError(Exception):
@@ -53,15 +55,33 @@ class DataFileError(MixtureError, ValueError):
     """A data file could not be read or parsed."""
 
 
-def _require_counts(config, *names):
-    """DomainError unless each named field of ``config`` is an integer.
+def _require_count(name, value):
+    """``value`` as an int, or DomainError if it is not an integer.
 
     Python and numpy integers pass (anything ``operator.index`` accepts); a
     float such as 2.5 or 2.0 is rejected here rather than deep inside a run.
     """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, not {value!r}") from None
+
+
+def _require_counts(config, *names):
+    """DomainError unless each named field of ``config`` is an integer."""
     for name in names:
-        value = getattr(config, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise DomainError(f"{name} must be an integer, not {value!r}") from None
+        _require_count(name, getattr(config, name))
+
+
+def _require_seed(seed):
+    """DomainError unless ``numpy.random.SeedSequence`` takes ``seed``.
+
+    It takes None, a non-negative Python or numpy integer, or a sequence of
+    them; a float such as 1.5 or a negative integer is rejected here rather
+    than with numpy's bare TypeError or ValueError deep inside a run.
+    """
+    try:
+        np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        message = f"seed must be a non-negative integer or a sequence of them, not {seed!r}"
+        raise DomainError(message) from None

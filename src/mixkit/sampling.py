@@ -11,6 +11,7 @@ streams are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,21 +155,26 @@ def sample_hmm(spec, T, seed):
     """Simulate T steps of the hidden chain and its emissions.
 
     Returns (states, observations); states are 1-based and depend only on
-    the previous state through the transition matrix.
+    the previous state through the transition matrix.  Step t draws one
+    uniform u_t and moves to the first state whose cumulative probability in
+    the current row exceeds u_t (inverse-cdf lookup); the chain is stepped on
+    Python floats with ``bisect_right``, which makes the same comparisons as
+    ``np.searchsorted(..., side="right")``.  Emissions follow, state by state.
     """
     T = int(T)
     if T < 1:
         raise DomainError("T must be at least 1")
     rng = _as_rng(seed)
-    G = spec.G
-    cum_init = np.cumsum(spec.initial)
-    cum_rows = np.cumsum(np.asarray(spec.xi, dtype=float), axis=1)
-    u = rng.random(T)
-    states = np.empty(T, dtype=np.int64)
-    states[0] = min(int(np.searchsorted(cum_init, u[0], side="right")), G - 1)
-    for t in range(1, T):
-        row = cum_rows[states[t - 1]]
-        states[t] = min(int(np.searchsorted(row, u[t], side="right")), G - 1)
+    last = spec.G - 1
+    cum_init = np.cumsum(spec.initial).tolist()
+    cum_rows = np.cumsum(np.asarray(spec.xi, dtype=float), axis=1).tolist()
+    u = rng.random(T).tolist()
+    state = min(bisect_right(cum_init, u[0]), last)
+    path = [state]
+    for x in u[1:]:
+        state = min(bisect_right(cum_rows[state], x), last)
+        path.append(state)
+    states = np.array(path, dtype=np.int64)
     return states + 1, _emit(spec.components, states, rng)
 
 

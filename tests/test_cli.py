@@ -1,14 +1,18 @@
 import csv
+import io
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixkit as mk
 import mixkit.cli
@@ -331,6 +335,75 @@ def test_crp_mean_matches_expectation_beyond_127_blocks(tmp_path, capsys):
     variance = math.fsum(200.0 / (200.0 + i) * i / (200.0 + i) for i in range(400))
     assert abs(mean - expected) <= 5.0 * math.sqrt(variance / 50)
 
+
+
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+def test_crp_rejects_a_non_finite_concentration(tmp_path, capsys, alpha):
+    out = tmp_path / "crp.csv"
+    assert main(["crp", f"--alpha={alpha}", "--n", "5", "--runs", "10", "--out", str(out)]) == EXIT_USAGE
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_crp_memory_does_not_grow_with_runs_times_n(tmp_path):
+    # the (runs, n) int64 label matrix would take 8 * 20000 * 400 bytes = 64 MB;
+    # the block counts take 8 * 20000 bytes
+    argv = ["crp", "--alpha", "1", "--n", "400", "--runs", "20000", "--seed", "4",
+            "--out", str(tmp_path / "crp.csv")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 4 * 2**20
+
+
+def _parent_csv_text(header, rows):
+    """The csv.writer table writer the column writer replaced (the oracle)."""
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".17g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308 / 3,
+                  1.0000000000000002, 0.1, 1e300, -1e-300, 2.0**60, 123456789012345678.0]
+
+
+@pytest.mark.parametrize("columns", [
+    [[1, 2, 3], [0.5, -0.0, 2.5]],
+    [np.array([1, -2, 2**60], dtype=np.int64), np.array(SPECIAL_FLOATS[:3])],
+    [np.array([7, 8], dtype=np.int32), np.array([3, 4], dtype=np.uint8), np.array([True, False])],
+    [[True, False, True], [2**60, 0, -(2**60)], np.array([1.5, 2.5, 3.5], dtype=np.float32)],
+    [range(1, len(SPECIAL_FLOATS) + 1), SPECIAL_FLOATS, np.array(SPECIAL_FLOATS)[::-1]],
+    [np.array([np.int64(3)]), [np.float64(-0.0)], [np.bool_(True)]],
+    [np.array([], dtype=np.int64), np.array([])],
+    [[], []],
+    [range(0), np.array([], dtype=bool), []],
+])
+def test_column_writer_equals_the_row_writer(columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    rows = list(zip(*columns))
+    assert mixkit.cli._csv_text(header, columns) == _parent_csv_text(header, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-(2**62), 2**62), st.floats(), st.booleans()), max_size=50))
+def test_column_writer_equals_the_row_writer_on_any_values(rows):
+    columns = [list(c) for c in zip(*rows)] if rows else [[], [], []]
+    header = ["i", "x", "b"]
+    assert mixkit.cli._csv_text(header, columns) == _parent_csv_text(header, rows)
+    arrays = [np.array(c, dtype=dt) for c, dt in zip(columns, (np.int64, float, bool))]
+    assert mixkit.cli._csv_text(header, arrays) == _parent_csv_text(header, zip(*arrays))
 
 # subcommand: (arguments of a good call, its outputs in write order,
 #              arguments of a failing call, that call's exit code)

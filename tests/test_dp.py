@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import mixkit as mk
@@ -173,3 +175,103 @@ def test_finite_mixture_partition_law_approaches_crp():
         for p in mk.enumerate_partitions(6)
     )
     assert tv3 > tv
+
+
+def _parent_sample_crp_labels(alpha, n, runs, seed):
+    """The one-customer-at-a-time label sampler the block counts replaced (the oracle)."""
+    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    labels = np.zeros((runs, n), dtype=np.int64)
+    opened = np.ones(runs, dtype=np.int64)
+    rows = np.arange(runs)
+    for i in range(1, n):
+        u = rng.random(runs) * (alpha + i)
+        join = u < i
+        source = np.where(join, u, 0.0).astype(np.int64)
+        labels[:, i] = np.where(join, labels[rows, source], opened)
+        opened += ~join
+    return labels
+
+
+def _assert_seating_matches_the_oracle(alpha, n, runs, seed, use_generator):
+    def fresh():
+        return np.random.default_rng(seed) if use_generator else seed
+
+    def next_draw(s):
+        return s.random() if use_generator else None
+
+    want = _parent_sample_crp_labels(alpha, n, runs, oracle := fresh())
+    after = next_draw(oracle)
+    counts = mk.crp_block_counts(alpha, n, runs, gen := fresh())
+    assert next_draw(gen) == after  # the same number of uniforms was drawn
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, want.max(axis=1) + 1)
+    labels = mk.sample_crp_labels(alpha, n, runs, gen := fresh())
+    assert next_draw(gen) == after
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, want)
+
+
+@st.composite
+def _seatings(draw):
+    runs = draw(st.integers(1, 5000))
+    n = draw(st.integers(1, max(1, min(600, 300_000 // runs))))
+    alpha = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return alpha, n, runs, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_seatings())
+def test_block_counts_and_labels_equal_the_per_customer_sampler_bit_for_bit(case):
+    _assert_seating_matches_the_oracle(*case)
+
+
+@pytest.mark.parametrize("alpha, n, runs", [
+    (1e-3, 1, 1), (1e3, 1, 5000), (1e-3, 600, 1), (1e3, 600, 1), (1.0, 600, 100),
+    (0.5, 600, 5000), (1e3, 37, 5000), (1.0, 8, 40000),
+])
+@pytest.mark.parametrize("use_generator", [False, True])
+def test_block_counts_and_labels_at_the_corners(alpha, n, runs, use_generator):
+    _assert_seating_matches_the_oracle(alpha, n, runs, 2024, use_generator)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1000, 10**12])
+def test_seating_bits_do_not_depend_on_the_block_size(monkeypatch, block):
+    # 1 and 3 give one customer per block, 1000 a short last block, 10**12 one block
+    monkeypatch.setattr(mk.dp, "_SEAT_BLOCK", block)
+    for alpha, n, runs in ((1.0, 50, 7), (30.0, 200, 3), (0.2, 1, 5)):
+        _assert_seating_matches_the_oracle(alpha, n, runs, 17, False)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_concentration_must_be_positive_and_finite(bad):
+    p = mk.Partition.from_labels([1, 1, 2])
+    calls = (
+        lambda: mk.CRPConfig(alpha=bad, n=5),
+        lambda: mk.partition_log_prob(p, bad),
+        lambda: mk.sample_crp_labels(bad, 5, 3, 0),
+        lambda: mk.crp_block_counts(bad, 5, 3, 0),
+        lambda: mk.expected_cluster_count(bad, 5),
+    )
+    for call in calls:
+        with pytest.raises(mk.DomainError, match="alpha"):
+            call()
+
+
+def test_crp_counts_and_seeds_must_be_integers():
+    with pytest.raises(mk.DomainError, match="n must be an integer"):
+        mk.CRPConfig(alpha=1.0, n=2.5)
+    for seed in (1.5, -1, "3"):
+        with pytest.raises(mk.DomainError, match="seed"):
+            mk.CRPConfig(alpha=1.0, n=5, seed=seed)
+    for sampler in (mk.sample_crp_labels, mk.crp_block_counts):
+        with pytest.raises(mk.DomainError, match="n must be an integer"):
+            sampler(1.0, 2.5, 3, 0)
+        with pytest.raises(mk.DomainError, match="runs must be an integer"):
+            sampler(1.0, 3, 2.0, 0)
+        with pytest.raises(mk.DomainError, match="seed"):
+            sampler(1.0, 3, 2, -1)
+        with pytest.raises(mk.DomainError, match="seed"):
+            sampler(1.0, 3, 2, 0.5)
+    assert mk.sample_crp(mk.CRPConfig(alpha=1.0, n=np.int64(6), seed=np.uint8(3))).n == 6
+    labels = mk.sample_crp_labels(1.0, np.int32(4), np.int64(2), np.random.default_rng(1))
+    assert labels.shape == (2, 4)

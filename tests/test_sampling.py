@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixkit as mk
 
@@ -174,3 +176,76 @@ def test_poisson_mixture_moment_identity(two_poisson):
     spread = 0.7 * 4.0 + 0.3 * 6.0 + 0.7 * 0.3 * (6.0 - 4.0) ** 2
     assert float(np.var(s.data)) == pytest.approx(spread, abs=0.15)
     assert float(np.var(s.data)) > float(np.mean(s.data))
+
+
+def _parent_sample_hmm(spec, T, seed):
+    """The per-step ``np.searchsorted`` stepper that bisection replaced (the oracle)."""
+    rng = np.random.default_rng(seed)
+    G = spec.G
+    cum_init = np.cumsum(spec.initial)
+    cum_rows = np.cumsum(np.asarray(spec.xi, dtype=float), axis=1)
+    u = rng.random(T)
+    states = np.empty(T, dtype=np.int64)
+    states[0] = min(int(np.searchsorted(cum_init, u[0], side="right")), G - 1)
+    for t in range(1, T):
+        row = cum_rows[states[t - 1]]
+        states[t] = min(int(np.searchsorted(row, u[t], side="right")), G - 1)
+    return states + 1, mk.sampling._emit(spec.components, states, rng)
+
+
+def _assert_hmm_matches_the_oracle(spec, T, seed):
+    want_states, want_obs = _parent_sample_hmm(spec, T, seed)
+    states, obs = mk.sample_hmm(spec, T, seed)
+    assert states.dtype == want_states.dtype == np.int64
+    assert np.array_equal(states, want_states)
+    assert obs.dtype == want_obs.dtype
+    assert np.array_equal(obs, want_obs)
+
+
+@st.composite
+def _probability_row(draw, G):
+    """A row on the simplex with some exact zeros (at least one entry positive)."""
+    weights = [draw(st.sampled_from([0.0, 0.0, 1e-9, 0.3, 1.0, 7.0])) for _ in range(G)]
+    if not any(weights):
+        weights[draw(st.integers(0, G - 1))] = 1.0
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
+
+
+@st.composite
+def _hmm_cases(draw):
+    G = draw(st.integers(1, 5))
+    family = draw(st.sampled_from(["normal", "poisson"]))
+    if family == "normal":
+        comps = tuple(mk.UnivariateNormal(5.0 * g, 1.0) for g in range(G))
+    else:
+        comps = tuple(mk.Poisson(1.0 + 3.0 * g) for g in range(G))
+    spec = mk.HMMSpec(
+        initial=draw(_probability_row(G)),
+        xi=tuple(draw(_probability_row(G)) for _ in range(G)),
+        components=comps,
+    )
+    return spec, draw(st.integers(1, 500)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hmm_cases())
+def test_hmm_states_and_emissions_equal_the_searchsorted_stepper(case):
+    _assert_hmm_matches_the_oracle(*case)
+
+
+def test_hmm_uniform_on_a_cumulative_boundary_moves_past_it():
+    # the first two uniforms of seed 5 are made boundaries of the initial law and
+    # of both transition rows; side="right" puts a uniform equal to a boundary in
+    # the next state
+    seed = 5
+    u = np.random.default_rng(seed).random(3)
+    spec = mk.HMMSpec(
+        initial=(u[0], 1.0 - u[0]),
+        xi=((u[1], 1.0 - u[1]), (u[1], 1.0 - u[1])),
+        components=(mk.UnivariateNormal(0.0, 1.0), mk.UnivariateNormal(8.0, 1.0)),
+    )
+    assert np.cumsum(spec.initial)[0] == u[0] and np.cumsum(spec.xi[0])[0] == u[1]
+    states, _ = mk.sample_hmm(spec, 3, seed)
+    assert states[:2].tolist() == [2, 2]
+    _assert_hmm_matches_the_oracle(spec, 3, seed)
