@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import UnivariateNormal, validate_observations
-from .em import _responsibilities, e_step
-from .errors import DomainError, _require_counts, _require_seed
+from .em import e_step
+from .errors import DegeneratePointError, DomainError, _require_counts, _require_seed
 from .models import (
     MixingMeasure,
     MixtureModel,
@@ -35,6 +35,7 @@ from .models import (
     _measure_from_params,
     _measure_params,
     _stacked_log_densities,
+    log_weighted_densities,
 )
 from .sampling import _as_rng
 
@@ -121,52 +122,84 @@ class PosteriorSample:
 
 
 def allocation_probabilities(measure, data):
-    """Categorical probabilities used for allocation draws.
+    """Categorical probabilities of the allocation draws.
 
-    These are exactly the E-step responsibilities; the sampler and EM share
-    one implementation.
+    These are exactly the E-step responsibilities: the sampler and EM share
+    one component kernel.  The draws themselves never normalise them (see
+    _draw_from_log_weights).
     """
     return e_step(MixtureModel(measure), data)
 
 
-def _draw_allocations(rng, r):
-    """1-based draws, row i from the categorical r[i]: one uniform per row,
-    counted against the running sum of the atom columns."""
-    G = r.shape[1]
-    u = rng.random(len(r))
-    cum = r[:, 0].copy()
-    idx = (u >= cum).astype(np.int64)
+def _draw_from_log_weights(rng, L):
+    """1-based draws, row i with probability proportional to exp(L[i, g]),
+    from the atom-major weighted log-density matrix ``L``, which is
+    overwritten.
+
+    With the row max as shift, e = exp(L - shift) and C_g = e_0 + ... + e_g
+    summed over atom columns, one uniform u per row gives
+    z = #{g : u * T >= C_g} with T = C_{G-1}, so P(z = g) = e_g / T: the law
+    of allocation_probabilities, with no normalised row and no logarithm.
+    Nothing needs clamping, and a component of weight 0 is never drawn: its
+    boundary equals the one before it (0 for g = 0, which every u * T
+    reaches), and u <= 1 - 2**-53 rounds u * T below T for every float
+    T >= 1 (the row max contributes exp(0) = 1), so the last boundary is
+    never passed and is not counted.  A row of -inf throughout raises
+    DegeneratePointError before the uniforms are drawn.
+    """
+    cols = L.T
+    G, n = cols.shape
+    shift = cols[0].copy()
     for g in range(1, G):
-        cum += r[:, g]
-        idx += u >= cum
-    return np.minimum(idx, G - 1) + 1
+        np.maximum(shift, cols[g], out=shift)
+    if shift.min() == -math.inf:
+        raise DegeneratePointError(int(np.flatnonzero(np.isneginf(shift))[0]))
+    u = rng.random(n)
+    cols -= shift
+    np.exp(cols, out=cols)
+    for g in range(1, G):
+        cols[g] += cols[g - 1]
+    u *= cols[-1]
+    z = np.ones(n, dtype=np.int64)
+    for g in range(G - 1):
+        z += u >= cols[g]
+    return z
 
 
 def gibbs_allocations(measure, data, seed):
-    """Draw 1-based allocations, each row from its responsibility vector."""
+    """Draw 1-based allocations, row i with probability
+    allocation_probabilities(measure, data)[i]: one uniform per row, the
+    draw of a Gibbs sweep."""
     rng = _as_rng(seed)
     arr = validate_observations(measure.family, data)
     if len(arr) == 0:
         return np.empty(0, dtype=np.int64)
-    return _draw_allocations(rng, allocation_probabilities(measure, arr))
+    return _draw_from_log_weights(rng, log_weighted_densities(MixtureModel(measure), arr))
 
 
 def _posterior_coefficients(prior, arr, z, counts):
     """Normal-inverse-Gamma update of every component, from the 1-based
-    allocations ``z`` of ``arr`` and their ``counts``: arrays (mn, kn, an, bn)
-    of length G.  Sums come from np.bincount, and the sum of squares from the
+    allocations ``z`` of ``arr`` and their ``counts``: lists (mn, kn, an, bn)
+    of G floats.  Sums come from np.bincount, and the sum of squares from the
     deviations about each component's mean (two passes, not sum y^2 - n ybar^2).
+    The G-length arithmetic runs on Python floats, the same IEEE operations
+    in the same order as on arrays.
     """
     idx = z - 1
-    ybar = np.bincount(idx, weights=arr, minlength=len(counts)) / np.maximum(counts, 1)
+    G = len(counts)
+    ybar = np.bincount(idx, weights=arr, minlength=G) / np.maximum(counts, 1)
     dev = arr - ybar[idx]
-    ss = np.bincount(idx, weights=dev * dev, minlength=len(counts))
+    ss = np.bincount(idx, weights=dev * dev, minlength=G).tolist()
     k0 = prior.kappa0
     m0 = prior.normal_mean_loc
-    kn = k0 + counts
-    mn = np.where(counts > 0, (k0 * m0 + counts * ybar) / kn, m0)
-    bn = prior.ig_scale + 0.5 * ss + 0.5 * k0 * counts * (ybar - m0) ** 2 / kn
-    an = prior.ig_shape + 0.5 * counts
+    mn, kn, an, bn = [], [], [], []
+    for c, y, s in zip(counts.tolist(), ybar.tolist(), ss):
+        k = k0 + c
+        d = y - m0
+        mn.append((k0 * m0 + c * y) / k if c > 0 else m0)
+        kn.append(k)
+        an.append(prior.ig_shape + 0.5 * c)
+        bn.append(prior.ig_scale + 0.5 * s + 0.5 * k0 * c * (d * d) / k)
     return mn, kn, an, bn
 
 
@@ -186,21 +219,23 @@ def prior_draw(prior, seed):
     return MixingMeasure(tuple(zip(eta.tolist(), comps)))
 
 
-def _sweep(rng, arr, prior, eta, mu, sigma):
-    """One scan on arrays: allocations, then weights, then component
-    parameters.  Returns (z, eta, mu, sigma) of the next state."""
+def _sweep(rng, arr, prior, base, eta, mu, sigma):
+    """One scan on arrays: allocations drawn straight from the weighted
+    log-densities (see _draw_from_log_weights), then weights, then component
+    parameters.  ``base`` is the prior's Dirichlet weights as an array.
+    Returns (z, eta, mu, sigma) of the next state."""
     G = len(mu)
     if len(arr):
-        L = _component_log_densities("normal", (mu, sigma), arr) + _logs(eta)
-        z = _draw_allocations(rng, _responsibilities(L)[0])
+        L = _component_log_densities("normal", (mu, sigma), arr)
+        L += _logs(eta)
+        z = _draw_from_log_weights(rng, L)
     else:
         z = np.empty(0, dtype=np.int64)
     counts = np.bincount(z - 1, minlength=G)
-    eta = rng.dirichlet(np.asarray(prior.dirichlet_weights) + counts)
+    eta = rng.dirichlet(base + counts)
     mu, sigma = np.empty(G), np.empty(G)
-    mn, kn, an, bn = (c.tolist() for c in _posterior_coefficients(prior, arr, z, counts))
-    for g in range(G):
-        mu[g], sigma[g] = _draw_normal(rng, mn[g], kn[g], an[g], bn[g])
+    for g, coefficients in enumerate(zip(*_posterior_coefficients(prior, arr, z, counts))):
+        mu[g], sigma[g] = _draw_normal(rng, *coefficients)
     return z, eta, mu, sigma
 
 
@@ -216,7 +251,8 @@ def gibbs_sweep(state, data, prior, seed):
     arr = validate_observations("normal", data)
     if prior.G != state.measure.G:
         raise DomainError("prior and state disagree on the number of components")
-    z, eta, mu, sigma = _sweep(rng, arr, prior, state.measure.weights, *_measure_params(state.measure))
+    base = np.asarray(prior.dirichlet_weights)
+    z, eta, mu, sigma = _sweep(rng, arr, prior, base, state.measure.weights, *_measure_params(state.measure))
     measure = _measure_from_params("normal", eta, (mu, sigma))
     return GibbsState(z=z, measure=measure, iteration=state.iteration + 1)
 
@@ -234,10 +270,11 @@ def run_gibbs(data, G, prior, config=GibbsConfig()):
     rng = np.random.default_rng(config.seed)
     start = prior_draw(prior, rng)
     eta, (mu, sigma) = start.weights, _measure_params(start)
+    base = np.asarray(prior.dirichlet_weights)
     snapshots = []
     total = config.burn_in + config.n_samples * config.thin
     for sweep_index in range(1, total + 1):
-        z, eta, mu, sigma = _sweep(rng, arr, prior, eta, mu, sigma)
+        z, eta, mu, sigma = _sweep(rng, arr, prior, base, eta, mu, sigma)
         if sweep_index > config.burn_in and (sweep_index - config.burn_in) % config.thin == 0:
             measure = _measure_from_params("normal", eta, (mu, sigma))
             snapshots.append(GibbsState(z=z, measure=measure, iteration=sweep_index))

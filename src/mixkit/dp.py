@@ -191,7 +191,7 @@ def expected_cluster_count(alpha, n):
     Grows like alpha * log(n / alpha) for large n.
     """
     _require_alpha(alpha)
-    n = int(n)
+    n = _require_count("n", n)
     if n < 1:
         raise DomainError("n must be at least 1")
     return math.fsum(alpha / (alpha + i) for i in range(n))

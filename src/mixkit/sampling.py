@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidMeasureError
+from .errors import DomainError, InvalidMeasureError, _require_count
 from .models import WEIGHT_SUM_TOL
 
 __all__ = [
@@ -140,7 +140,7 @@ def sample_mixture(model, n, seed):
     z_i is categorical in the mixture weights and y_i | z_i comes from the
     allocated component.  Labels are 1-based.
     """
-    n = int(n)
+    n = _require_count("n", n)
     if n < 0:
         raise DomainError("n must be non-negative")
     rng = _as_rng(seed)
@@ -161,7 +161,7 @@ def sample_hmm(spec, T, seed):
     Python floats with ``bisect_right``, which makes the same comparisons as
     ``np.searchsorted(..., side="right")``.  Emissions follow, state by state.
     """
-    T = int(T)
+    T = _require_count("T", T)
     if T < 1:
         raise DomainError("T must be at least 1")
     rng = _as_rng(seed)
@@ -185,7 +185,7 @@ def sample_scale_mixture(mu, mixing, n, seed):
     with nu degrees of freedom; Exponential(rate) on the variance gives the
     Laplace distribution.  Both mixing laws act on the variance, not the sd.
     """
-    n = int(n)
+    n = _require_count("n", n)
     if n < 0:
         raise DomainError("n must be non-negative")
     mu = float(mu)
@@ -207,7 +207,7 @@ def sample_monotone_density(thetas, n, seed):
     ``thetas`` is a sequence of (weight, theta) pairs with positive theta
     and weights on the simplex.
     """
-    n = int(n)
+    n = _require_count("n", n)
     if n < 0:
         raise DomainError("n must be non-negative")
     pairs = [(float(w), float(t)) for w, t in thetas]

@@ -8,10 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 from scipy.special import gammaln
 
 import mixkit as mk
 from mixkit.bayes import (
+    _draw_from_log_weights,
     _loglik_of_draws,
     _posterior_coefficients,
     _predictive_densities,
@@ -68,6 +72,35 @@ def test_posterior_coefficients_with_no_members_reduce_to_prior():
         assert (mn, kn, an, bn) == (1.5, prior.kappa0, 3.0, 4.0)
 
 
+def _parent_posterior_coefficients(prior, arr, z, counts):
+    """The same update on G-length numpy arrays (the oracle)."""
+    idx = z - 1
+    ybar = np.bincount(idx, weights=arr, minlength=len(counts)) / np.maximum(counts, 1)
+    dev = arr - ybar[idx]
+    ss = np.bincount(idx, weights=dev * dev, minlength=len(counts))
+    k0, m0 = prior.kappa0, prior.normal_mean_loc
+    kn = k0 + counts
+    mn = np.where(counts > 0, (k0 * m0 + counts * ybar) / kn, m0)
+    bn = prior.ig_scale + 0.5 * ss + 0.5 * k0 * counts * (ybar - m0) ** 2 / kn
+    an = prior.ig_shape + 0.5 * counts
+    return mn, kn, an, bn
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 300), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_posterior_coefficients_on_floats_equal_the_array_update_bitwise(G, n, log_scale, log_kappa, seed):
+    rng = np.random.default_rng(seed)
+    prior = mk.ConjugatePrior((1.0,) * G, rng.normal(0.0, 10.0), 10.0 ** log_kappa, rng.uniform(0.1, 5.0),
+                              rng.uniform(0.1, 5.0))
+    arr = 10.0 ** log_scale * rng.standard_normal(n) + rng.normal(0.0, 100.0)
+    z = rng.integers(1, rng.integers(1, G + 1) + 1, n)
+    counts = np.bincount(z - 1, minlength=G)
+    got = _posterior_coefficients(prior, arr, z, counts)
+    want = _parent_posterior_coefficients(prior, arr, z, counts)
+    assert [list(c) for c in got] == [c.tolist() for c in want]
+
+
 def test_default_prior_centers_on_the_data():
     data = np.array([-2.0, 0.0, 6.0])
     prior = mk.default_prior(data, 3)
@@ -96,6 +129,124 @@ def test_gibbs_allocations_reproducible(two_normal_separated):
     a = mk.gibbs_allocations(two_normal_separated.measure, data, 5)
     b = mk.gibbs_allocations(two_normal_separated.measure, data, 5)
     assert np.array_equal(a, b)
+
+
+def _parent_responsibilities(L):
+    """The normalised responsibilities the allocation draw used to go through (the oracle)."""
+    norm = mk.models._logsumexp(L)
+    bad = np.flatnonzero(np.isneginf(norm))
+    if bad.size:
+        raise mk.DegeneratePointError(int(bad[0]))
+    r = L - norm[:, None]
+    np.exp(r, out=r)
+    r /= mk.models._atom_sum(r)[:, None]
+    return r
+
+
+def _parent_draw_allocations(rng, r):
+    """The running-sum draw on normalised rows, with its clamp (the oracle)."""
+    G = r.shape[1]
+    u = rng.random(len(r))
+    cum = r[:, 0].copy()
+    idx = (u >= cum).astype(np.int64)
+    for g in range(1, G):
+        cum += r[:, g]
+        idx += u >= cum
+    return np.minimum(idx, G - 1) + 1
+
+
+@st.composite
+def _log_weight_matrices(draw):
+    """Atom-major (n, G) weighted log-densities on scales 1e-3 to 1e3, some
+    entries -inf, never a row that is -inf throughout."""
+    G, n = draw(st.integers(1, 8)), draw(st.integers(1, 500))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = np.asfortranarray(scale * rng.standard_normal((n, G)) + draw(st.floats(-50.0, 50.0)))
+    L[rng.random((n, G)) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = -np.inf
+    dead = np.flatnonzero(np.isneginf(L).all(axis=1))
+    L[dead, rng.integers(0, G, dead.size)] = scale * rng.standard_normal(dead.size)
+    return L, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_weight_matrices())
+def test_log_weight_draw_equals_the_normalised_draw_away_from_boundaries(case):
+    L, seed = case
+    r = _parent_responsibilities(L)
+    old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _parent_draw_allocations(old_rng, r)
+    got = _draw_from_log_weights(new_rng, L.copy())
+    assert got.dtype == np.int64 and got.min() >= 1 and got.max() <= L.shape[1]
+    assert np.isfinite(L[np.arange(len(L)), got - 1]).all()
+    u = np.random.default_rng(seed).random(len(L))
+    clear = (np.abs(u[:, None] - np.cumsum(r, axis=1)) > 1e-12).all(axis=1)
+    assert np.array_equal(got[clear], want[clear])
+    assert old_rng.bit_generator.state == new_rng.bit_generator.state
+
+
+class _LargestUniform:
+    """A generator stub whose every uniform is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+
+def test_a_component_of_zero_weight_is_never_drawn():
+    # [0, x, -inf] rows: the normalised running sum can round below the
+    # largest uniform, and the clamp then drew component 3 at zero weight
+    x = np.random.default_rng(3).uniform(-5.0, 5.0, 20000)
+    L = np.asfortranarray(np.column_stack([np.zeros_like(x), x, np.full_like(x, -np.inf)]))
+    assert (_parent_draw_allocations(_LargestUniform(), _parent_responsibilities(L)) == 3).any()
+    # the largest uniform picks the last component of positive weight
+    assert (_draw_from_log_weights(_LargestUniform(), L) == 2).all()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(1.0, 1e300))
+def test_the_largest_uniform_scales_every_total_below_itself(total):
+    assert (1.0 - 2.0**-53) * total < total
+
+
+def test_allocation_frequencies_follow_e_step():
+    model = mk.MixtureModel(mk.MixingMeasure((
+        (0.3, mk.UnivariateNormal(2.0, 1.0)),
+        (0.5, mk.UnivariateNormal(3.0, 0.5)),
+        (0.2, mk.UnivariateNormal(3.4, 1.3)),
+    )))
+    points, reps = np.array([1.5, 2.8, 3.3, 5.0]), 40000
+    z = mk.gibbs_allocations(model.measure, np.repeat(points, reps), 81).reshape(len(points), reps)
+    r = mk.e_step(model, points)
+    for row, probs in zip(z, r):
+        observed = np.bincount(row - 1, minlength=3)
+        assert stats.chisquare(observed, reps * probs).pvalue > 0.01
+
+
+@pytest.mark.parametrize("data", [[0.0, 5.0, 1.0, 7.0], [9.0, 0.0], [0.0, 1.0, 0.5, 3.0, -2.0]])
+def test_degenerate_point_is_the_one_e_step_reports(data):
+    # sigma 1e-160: the squared z-score of a point 0.5 or more away overflows,
+    # so its log-density is -inf under both components
+    measure = mk.MixingMeasure(((0.5, mk.UnivariateNormal(0.0, 1e-160)), (0.5, mk.UnivariateNormal(1.0, 1e-160))))
+    with pytest.raises(mk.DegeneratePointError) as want:
+        _parent_responsibilities(mk.log_weighted_densities(mk.MixtureModel(measure), data))
+    with pytest.raises(mk.DegeneratePointError) as via_e_step:
+        mk.e_step(mk.MixtureModel(measure), data)
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(mk.DegeneratePointError) as got:
+        mk.gibbs_allocations(measure, data, rng)
+    assert got.value.index == want.value.index == via_e_step.value.index
+    assert rng.bit_generator.state == before
+
+
+def test_gibbs_allocations_are_the_draws_of_a_sweep(flat_prior, two_normal_separated):
+    from mixkit.bayes import GibbsState
+
+    data = mk.sample_mixture(two_normal_separated, 300, 83).data
+    measure = mk.prior_draw(flat_prior, 5)
+    z = mk.gibbs_allocations(measure, data, np.random.default_rng(85))
+    state = GibbsState(z=np.ones(len(data), dtype=np.int64), measure=measure, iteration=0)
+    assert np.array_equal(mk.gibbs_sweep(state, data, flat_prior, np.random.default_rng(85)).z, z)
 
 
 def test_prior_draw_structure(flat_prior):
