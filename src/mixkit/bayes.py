@@ -24,7 +24,8 @@ import numpy as np
 
 from .components import UnivariateNormal, validate_observations
 from .em import e_step
-from .errors import DegeneratePointError, DomainError, _require_counts, _require_seed
+from .errors import DegeneratePointError, DomainError
+from .errors import _require_count, _require_finite, _require_positive, _require_seed, _rng
 from .models import (
     MixingMeasure,
     MixtureModel,
@@ -37,7 +38,6 @@ from .models import (
     _stacked_log_densities,
     log_weighted_densities,
 )
-from .sampling import _as_rng
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,20 @@ class ConjugatePrior:
     ig_scale: float
 
     def __post_init__(self):
-        dw = tuple(float(d) for d in self.dirichlet_weights)
-        if not dw or any(d <= 0.0 for d in dw):
-            raise DomainError("dirichlet_weights must be positive")
-        for name in ("normal_mean_scale", "ig_shape", "ig_scale"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive")
+        dw = tuple(_require_positive("dirichlet_weights entry", d) for d in self.dirichlet_weights)
+        if not dw:
+            raise DomainError("dirichlet_weights needs at least one entry")
         object.__setattr__(self, "dirichlet_weights", dw)
-        object.__setattr__(self, "normal_mean_loc", float(self.normal_mean_loc))
-        object.__setattr__(self, "normal_mean_scale", float(self.normal_mean_scale))
-        object.__setattr__(self, "ig_shape", float(self.ig_shape))
-        object.__setattr__(self, "ig_scale", float(self.ig_scale))
+        loc = _require_finite("normal_mean_loc", self.normal_mean_loc)
+        object.__setattr__(self, "normal_mean_loc", loc)
+        for name in ("normal_mean_scale", "ig_shape", "ig_scale"):
+            object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
+        try:
+            kappa0 = self.kappa0
+        except OverflowError:
+            kappa0 = math.inf
+        if not 0.0 < kappa0 < math.inf:
+            raise DomainError(f"normal_mean_scale {self.normal_mean_scale!r} gives kappa0 = {kappa0!r}")
 
     @property
     def G(self):
@@ -74,13 +77,14 @@ def default_prior(data, G):
     """Weakly informative prior scaled to the data: mean at the midrange,
     mean-scale equal to the range, unit Dirichlet weights."""
     arr = np.asarray(validate_observations("normal", data), dtype=float)
+    G = _require_count("G", G, 1)
     if arr.size == 0:
         raise DomainError("cannot scale a default prior to an empty dataset")
     lo, hi = float(arr.min()), float(arr.max())
     spread = hi - lo if hi > lo else 1.0
     variance = float(arr.var()) if arr.var() > 0.0 else 1.0
     return ConjugatePrior(
-        dirichlet_weights=(1.0,) * int(G),
+        dirichlet_weights=(1.0,) * G,
         normal_mean_loc=0.5 * (lo + hi),
         normal_mean_scale=spread,
         ig_shape=2.0,
@@ -103,10 +107,10 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_counts(self, "burn_in", "n_samples", "thin")
+        _require_count("burn_in", self.burn_in)
+        _require_count("n_samples", self.n_samples, 1)
+        _require_count("thin", self.thin, 1)
         _require_seed(self.seed)
-        if self.burn_in < 0 or self.n_samples < 1 or self.thin < 1:
-            raise DomainError("need burn_in >= 0, n_samples >= 1, thin >= 1")
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ def gibbs_allocations(measure, data, seed):
     """Draw 1-based allocations, row i with probability
     allocation_probabilities(measure, data)[i]: one uniform per row, the
     draw of a Gibbs sweep."""
-    rng = _as_rng(seed)
+    rng = _rng(seed)
     arr = validate_observations(measure.family, data)
     if len(arr) == 0:
         return np.empty(0, dtype=np.int64)
@@ -212,7 +216,7 @@ def _draw_normal(rng, mn, kn, an, bn):
 
 def prior_draw(prior, seed):
     """One draw of (weights, components) from the prior, as a MixingMeasure."""
-    rng = _as_rng(seed)
+    rng = _rng(seed)
     eta = rng.dirichlet(prior.dirichlet_weights)
     coefficients = (prior.normal_mean_loc, prior.kappa0, prior.ig_shape, prior.ig_scale)
     comps = [UnivariateNormal(*_draw_normal(rng, *coefficients)) for _ in range(prior.G)]
@@ -247,7 +251,7 @@ def gibbs_sweep(state, data, prior, seed):
     """
     if state.measure.family != "normal":
         raise DomainError("the Gibbs sampler handles univariate Normal mixtures")
-    rng = _as_rng(seed)
+    rng = _rng(seed)
     arr = validate_observations("normal", data)
     if prior.G != state.measure.G:
         raise DomainError("prior and state disagree on the number of components")
@@ -264,8 +268,7 @@ def run_gibbs(data, G, prior, config=GibbsConfig()):
     built for retained snapshots only.
     """
     arr = validate_observations("normal", data)
-    G = int(G)
-    if prior.G != G:
+    if prior.G != _require_count("G", G, 1):
         raise DomainError("prior dirichlet_weights must have length G")
     rng = np.random.default_rng(config.seed)
     start = prior_draw(prior, rng)
@@ -295,8 +298,8 @@ class ParamRegion:
     sigma_max: float = math.inf
 
     def __post_init__(self):
-        if self.mu_min > self.mu_max or self.sigma_min > self.sigma_max:
-            raise DomainError("region is empty")
+        if not (self.mu_min <= self.mu_max and self.sigma_min <= self.sigma_max):
+            raise DomainError("region is empty or has a nan bound")
 
     def contains(self, component):
         return (
@@ -325,7 +328,7 @@ class PredictiveDensityAt:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
+        pts = tuple(_require_finite("points entry", p) for p in self.points)
         if not pts:
             raise DomainError("at least one evaluation point is required")
         object.__setattr__(self, "points", pts)
@@ -388,10 +391,8 @@ class EvidenceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_counts(self, "n_prior_draws")
+        _require_count("n_prior_draws", self.n_prior_draws, 1000)
         _require_seed(self.seed)
-        if self.n_prior_draws < 1000:
-            raise DomainError("n_prior_draws must be at least 1000")
 
 
 @dataclass(frozen=True)
@@ -437,8 +438,7 @@ def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
     for diffuse priors, which the standard error makes visible.
     """
     arr = validate_observations("normal", data)
-    G = int(G)
-    if prior.G != G:
+    if prior.G != _require_count("G", G, 1):
         raise DomainError("prior dirichlet_weights must have length G")
     rng = np.random.default_rng(config.seed)
     m = config.n_prior_draws
@@ -490,7 +490,7 @@ def evidence_over_G(data, G_range, prior_builder, config=EvidenceConfig()):
     evidence of each size is estimated independently (fresh seed stream per
     size, all derived from config.seed).
     """
-    G_range = [int(G) for G in G_range]
+    G_range = [_require_count("G_range entry", G, 1) for G in G_range]
     if not G_range:
         raise DomainError("G_range must be non-empty")
     children = np.random.SeedSequence(config.seed).spawn(len(G_range))

@@ -62,6 +62,7 @@ from .errors import (
     IntervalTooSmallError,
     InvalidMeasureError,
     SpecDocumentError,
+    _require_count,
 )
 from .models import MixtureModel, _logsumexp, log_weighted_densities
 from .modelspec import document_for, load_document
@@ -127,7 +128,7 @@ class Produced(NamedTuple):
 
 def _resolve_seed(args):
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+        return args.seed
     env = os.environ.get(ENV_SEED)
     if env is not None:
         try:
@@ -147,9 +148,7 @@ def _parse_grid(text):
         raise DomainError(f"cannot parse grid {text!r}")
     if not hi > lo:
         raise DomainError("grid needs hi > lo")
-    if points < 2:
-        raise DomainError("grid needs at least 2 points")
-    return lo, hi, points
+    return lo, hi, _require_count("grid points", points, 2)
 
 
 def _read_data(path):
@@ -217,13 +216,9 @@ def _load_spec(path, expected_kinds, what):
 
 def _cmd_simulate(args):
     seed = _resolve_seed(args)
-    n = int(args.n)
-    if n < 0:
-        raise DomainError("--n must be non-negative")
+    n = args.n
     obj = _load_spec(args.spec, ("mixture", "hmm"), "simulate")
     if isinstance(obj, HMMSpec):
-        if n < 1:
-            raise DomainError("--n must be at least 1 for an hmm spec")
         z, data = sample_hmm(obj, n, seed)
     else:
         sample = sample_mixture(obj, n, seed)
@@ -311,15 +306,13 @@ def _warn_em(state):
 def _cmd_fit(args):
     seed = _resolve_seed(args)
     data = _read_data(args.data)
-    G = int(args.G)
+    G = args.G
     if data.ndim == 2:
         family = "bivariate_normal"
     elif args.family == "poisson":
         family = "poisson"
     else:
         family = "normal"
-    if G < 1 or len(data) < G:
-        raise DomainError("need 1 <= G <= number of observations")
 
     if args.method in ("em", "hard-em"):
         config = EMConfig(
@@ -347,6 +340,8 @@ def _cmd_fit(args):
     # gibbs
     if family != "normal":
         raise DomainError("gibbs fitting supports univariate Normal data only")
+    if len(data) < G:
+        raise DomainError("need 1 <= G <= number of observations")
     prior = (
         _load_spec(args.prior, ("prior",), "fit --prior")
         if args.prior
@@ -387,10 +382,7 @@ def _cmd_select_g(args):
     data = _read_data(args.data)
     if data.ndim != 1:
         raise DomainError("select-g expects univariate data")
-    g_min, g_max = int(args.g_min), int(args.g_max)
-    if g_min < 1 or g_min > g_max:
-        raise DomainError("need 1 <= g-min <= g-max")
-    sizes = list(range(g_min, g_max + 1))
+    sizes = list(range(args.g_min, args.g_max + 1))
     config = EvidenceConfig(n_prior_draws=args.prior_draws, seed=seed)
     estimates = evidence_over_G(data, sizes, lambda G: default_prior(data, G), config)
     prior_on_G = np.full(len(sizes), 1.0 / len(sizes))
@@ -412,7 +404,7 @@ def _cmd_select_g(args):
         "posterior_sum": math.fsum(posterior.tolist()),
     }
     return Produced({args.out: _csv_text(["G", "log_marginal", "posterior"], columns)}, seed,
-                    {"g_min": g_min, "g_max": g_max, "prior_draws": args.prior_draws},
+                    {"g_min": args.g_min, "g_max": args.g_max, "prior_draws": args.prior_draws},
                     [args.data], extra)
 
 
@@ -436,9 +428,10 @@ def _cmd_compound(args):
         pmf = [betabinom_pmf(params, y) for y in ys]
         header, columns = ["y", "pmf"], [ys, pmf]
     elif isinstance(params, NegativeBinomialParams):
-        y_max = int(args.y_max) if args.y_max is not None else negbinom_support_bound(params)
-        if y_max < 0:
-            raise DomainError("--y-max must be non-negative")
+        if args.y_max is None:
+            y_max = negbinom_support_bound(params)
+        else:
+            y_max = _require_count("--y-max", args.y_max)
         ys = range(y_max + 1)
         pmf = [negbinom_pmf(params, y) for y in ys]
         header, columns = ["y", "pmf"], [ys, pmf]
@@ -472,11 +465,7 @@ def _cmd_modes(args):
 
 def _cmd_crp(args):
     seed = _resolve_seed(args)
-    alpha = float(args.alpha)
-    n = int(args.n)
-    runs = int(args.runs)
-    if runs < 1:
-        raise DomainError("--runs must be at least 1")
+    alpha, n, runs = args.alpha, args.n, args.runs
     clusters = crp_block_counts(alpha, n, runs, seed)
     histogram = np.bincount(clusters, minlength=n + 1)[1:]
     expected = expected_cluster_count(alpha, n)

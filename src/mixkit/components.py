@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, SpecDocumentError
+from .errors import DomainError, SpecDocumentError, _require_finite, _require_positive
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -40,12 +40,8 @@ class UnivariateNormal:
     family = "normal"
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if not math.isfinite(self.mu):
-            raise DomainError("mu must be finite")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError("sigma must be positive and finite")
+        object.__setattr__(self, "mu", _require_finite("mu", self.mu))
+        object.__setattr__(self, "sigma", _require_positive("sigma", self.sigma))
 
     @property
     def sort_key(self):
@@ -103,19 +99,18 @@ class BivariateNormal:
     family = "bivariate_normal"
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
+        mean = np.asarray(self.mean, dtype=object)
+        cov = np.asarray(self.cov, dtype=object)
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise DomainError("mean must have length 2 and cov must be 2x2")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise DomainError("mean and cov must be finite")
-        a, b, c, d = cov[0, 0], cov[0, 1], cov[1, 0], cov[1, 1]
+        mean = tuple(_require_finite("mean", v) for v in mean)
+        a, b, c, d = (_require_finite("cov", v) for v in cov.flat)
         if abs(b - c) > 1e-12 * max(1.0, abs(b), abs(c)):
             raise DomainError("cov must be symmetric")
         if a <= 0.0 or d <= 0.0 or a * d - b * b <= 0.0:
             raise DomainError("cov must be positive definite")
-        object.__setattr__(self, "mean", (float(mean[0]), float(mean[1])))
-        object.__setattr__(self, "cov", ((float(a), float(b)), (float(b), float(d))))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", ((a, b), (b, d)))
 
     @property
     def sort_key(self):
@@ -191,9 +186,7 @@ class Poisson:
     family = "poisson"
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", float(self.lam))
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise DomainError("lam must be positive and finite")
+        object.__setattr__(self, "lam", _require_positive("lam", self.lam))
 
     @property
     def sort_key(self):

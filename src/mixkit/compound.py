@@ -15,18 +15,15 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DomainError, _require_count, _require_positive
 
 
-def _as_count(value, name="y"):
-    if isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise DomainError(f"{name} must be an integer")
+def _observed_count(name, value):
+    """A count observation checked as a count; an integral float such as 4.0
+    is an observation of 4."""
+    if isinstance(value, float) and value.is_integer():
         value = int(value)
-    value = int(value)
-    return value
+    return _require_count(name, value)
 
 
 @dataclass(frozen=True)
@@ -36,11 +33,9 @@ class BetaBinomialParams:
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "trials", _as_count(self.trials, "trials"))
-        if self.trials < 0:
-            raise DomainError("trials must be non-negative")
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise DomainError("alpha and beta must be positive")
+        object.__setattr__(self, "trials", _require_count("trials", self.trials))
+        _require_positive("alpha", self.alpha)
+        _require_positive("beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -49,8 +44,8 @@ class NegativeBinomialParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise DomainError("alpha and beta must be positive")
+        _require_positive("alpha", self.alpha)
+        _require_positive("beta", self.beta)
 
     @property
     def p(self):
@@ -63,22 +58,18 @@ class DirichletMultinomialParams:
     concentration: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "trials", _as_count(self.trials, "trials"))
-        conc = tuple(float(a) for a in self.concentration)
-        if self.trials < 0:
-            raise DomainError("trials must be non-negative")
+        object.__setattr__(self, "trials", _require_count("trials", self.trials))
+        conc = tuple(_require_positive("concentration entry", a) for a in self.concentration)
         if len(conc) < 2:
             raise DomainError("concentration needs at least two entries")
-        if any(a <= 0.0 for a in conc):
-            raise DomainError("concentration entries must be positive")
         object.__setattr__(self, "concentration", conc)
 
 
 def betabinom_pmf(params, y):
     """Beta-mixed binomial: C(n,y) B(alpha+y, beta+n-y) / B(alpha, beta)."""
-    y = _as_count(y)
+    y = _observed_count("y", y)
     n, a, b = params.trials, params.alpha, params.beta
-    if y < 0 or y > n:
+    if y > n:
         raise DomainError(f"y must lie in 0..{n}")
     s = a + b
     terms = [
@@ -91,9 +82,7 @@ def betabinom_pmf(params, y):
 
 def negbinom_pmf(params, y):
     """Gamma-mixed Poisson with p = 1/(1+beta)."""
-    y = _as_count(y)
-    if y < 0:
-        raise DomainError("y must be non-negative")
+    y = _observed_count("y", y)
     a, b = params.alpha, params.beta
     log_p = -math.log1p(b)
     log_q = math.log(b) - math.log1p(b)
@@ -103,12 +92,10 @@ def negbinom_pmf(params, y):
 
 def dirmult_pmf(params, counts):
     """Dirichlet-mixed multinomial; reduces exactly to the beta-binomial at K=2."""
-    counts = [_as_count(c, "count") for c in counts]
+    counts = [_observed_count("counts entry", c) for c in counts]
     conc = params.concentration
     if len(counts) != len(conc):
         raise DomainError("counts and concentration must have equal length")
-    if any(c < 0 for c in counts):
-        raise DomainError("counts must be non-negative")
     n = sum(counts)
     if n != params.trials:
         raise DomainError(f"counts sum to {n}, expected {params.trials}")
@@ -147,4 +134,5 @@ def negbinom_variance(params):
 
 def negbinom_support_bound(params, sd_multiples=20.0):
     """Truncation point mean + k sd used when tabulating or normalizing."""
+    sd_multiples = _require_positive("sd_multiples", sd_multiples)
     return int(math.ceil(negbinom_mean(params) + sd_multiples * math.sqrt(negbinom_variance(params))))

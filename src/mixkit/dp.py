@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, _require_count, _require_counts, _require_seed
+from .errors import DomainError, _require_count, _require_positive, _require_seed, _rng
 
 # uniforms drawn per block of seating steps (256 KiB of float64)
 _SEAT_BLOCK = 1 << 15
@@ -35,7 +35,7 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        blocks = tuple(tuple(sorted(_require_count("blocks entry", i, 1) for i in b)) for b in self.blocks)
         if not blocks or any(not b for b in blocks):
             raise DomainError("blocks must be non-empty")
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
@@ -79,21 +79,14 @@ class CRPConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_alpha(self.alpha)
-        _require_counts(self, "n")
+        _require_positive("alpha", self.alpha)
+        _require_count("n", self.n, 1)
         _require_seed(self.seed)
-        if self.n < 1:
-            raise DomainError("n must be at least 1")
-
-
-def _require_alpha(alpha):
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive and finite, not {alpha!r}")
 
 
 def partition_log_prob(partition, alpha):
     """Exact log-probability of a partition under concentration alpha."""
-    _require_alpha(alpha)
+    _require_positive("alpha", alpha)
     n = partition.n
     terms = [partition.d * math.log(alpha)]
     terms += [float(gammaln(size)) for size in partition.sizes]
@@ -103,8 +96,7 @@ def partition_log_prob(partition, alpha):
 
 def enumerate_partitions(n):
     """All partitions of {1..n}, generated through restricted-growth strings."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    n = _require_count("n", n, 1)
     labels = [0] * n
 
     def rec(k, used):
@@ -115,7 +107,7 @@ def enumerate_partitions(n):
             labels[k] = j
             yield from rec(k + 1, max(used, j + 1))
 
-    yield from rec(1, 1)
+    return rec(1, 1)
 
 
 def sample_crp(config):
@@ -150,13 +142,8 @@ def _seat(alpha, n, runs, rng, labels=None):
 
 def _seating(alpha, n, runs, seed):
     """Checked (n, runs, rng) for :func:`_seat`; ``seed`` may be a Generator."""
-    _require_alpha(alpha)
-    n, runs = _require_count("n", n), _require_count("runs", runs)
-    if n < 1 or runs < 1:
-        raise DomainError("n and runs must be at least 1")
-    if not isinstance(seed, np.random.Generator):
-        _require_seed(seed)
-    return n, runs, np.random.default_rng(seed)
+    _require_positive("alpha", alpha)
+    return _require_count("n", n, 1), _require_count("runs", runs, 1), _rng(seed)
 
 
 def sample_crp_labels(alpha, n, runs, seed):
@@ -190,8 +177,6 @@ def expected_cluster_count(alpha, n):
 
     Grows like alpha * log(n / alpha) for large n.
     """
-    _require_alpha(alpha)
-    n = _require_count("n", n)
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    _require_positive("alpha", alpha)
+    n = _require_count("n", n, 1)
     return math.fsum(alpha / (alpha + i) for i in range(n))

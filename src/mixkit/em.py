@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import validate_observations
-from .errors import DegeneratePointError, DomainError, EmptyComponentError, _require_counts, _require_seed
+from .errors import DegeneratePointError, DomainError, EmptyComponentError
+from .errors import _require_count, _require_positive, _require_seed
 from .models import MixingMeasure, MixtureModel, canonicalize, log_weighted_densities, model_to_dict
 from .models import (
     _atom_sum,
@@ -54,16 +55,12 @@ class EMConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_counts(self, "max_iter", "restarts")
+        _require_count("max_iter", self.max_iter, 1)
+        _require_positive("tol", self.tol)
+        if self.variance_floor is not None:
+            _require_positive("variance_floor", self.variance_floor)
+        _require_count("restarts", self.restarts)
         _require_seed(self.seed)
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-        if not self.tol > 0.0:
-            raise DomainError("tol must be positive")
-        if self.variance_floor is not None and not self.variance_floor > 0.0:
-            raise DomainError("variance_floor must be positive")
-        if self.restarts < 0:
-            raise DomainError("restarts must be non-negative")
         if isinstance(self.init, str) and self.init not in ("k-points", "random-responsibilities"):
             raise DomainError(f"unknown init {self.init!r}")
         if not isinstance(self.init, (str, MixingMeasure)):
@@ -289,9 +286,7 @@ def _best_of_restarts(run, data, G, family, config):
     computed, once for all runs; each run gets its own spawned generator.
     """
     arr = validate_observations(family, data)
-    G = int(G)
-    if G < 1:
-        raise DomainError("G must be at least 1")
+    G = _require_count("G", G, 1)
     if len(arr) < G:
         raise DomainError("need at least G observations")
     floor = resolve_variance_floor(arr, family, config)

@@ -1,5 +1,22 @@
-"""Exception types shared across the toolkit, and the checks of count and seed fields."""
+"""Exception types shared across the toolkit, and the one place that checks arguments.
 
+Every public function, every config or parameter dataclass and the command
+line check their count, size, real and seed arguments with the helpers
+below, once per call, and nowhere else:
+
+- a count or size (n, T, G, runs, max_iter, grid_points, ...) is a Python or
+  numpy integer, never a bool and never a float, even 2.0:
+  :func:`_require_count`, which also checks the lower bound;
+- a real is a number, never a str, bytes or bool, and finite
+  (:func:`_require_finite`); a scale, shape, rate, concentration or
+  tolerance is also greater than 0 (:func:`_require_positive`);
+- a seed is what ``numpy.random.SeedSequence`` takes (:func:`_require_seed`);
+  the functions that take a seed also take a Generator (:func:`_rng`).
+
+Each violation raises DomainError naming the argument.
+"""
+
+import math
 import operator
 
 import numpy as np
@@ -55,22 +72,48 @@ class DataFileError(MixtureError, ValueError):
     """A data file could not be read or parsed."""
 
 
-def _require_count(name, value):
-    """``value`` as an int, or DomainError if it is not an integer.
+def _require_count(name, value, minimum=0):
+    """``value`` as an int, or DomainError unless it is an integer >= ``minimum``.
 
-    Python and numpy integers pass (anything ``operator.index`` accepts); a
-    float such as 2.5 or 2.0 is rejected here rather than deep inside a run.
+    Python and numpy integers pass (what ``operator.index`` takes, bool
+    excepted); a float such as 2.5 or 2.0, nan or a string is rejected here
+    rather than truncated or failing deep inside a run.
     """
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, not {value!r}") from None
+        count = None
+    if count is None or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, not {value!r}")
+    if count < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, not {count}")
+    return count
 
 
-def _require_counts(config, *names):
-    """DomainError unless each named field of ``config`` is an integer."""
-    for name in names:
-        _require_count(name, getattr(config, name))
+def _as_real(value):
+    """``float(value)`` of a real number; nan for str, bytes, bool and non-numbers."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _require_finite(name, value):
+    """``value`` as a float, or DomainError unless it is a finite real number."""
+    number = _as_real(value)
+    if not math.isfinite(number):
+        raise DomainError(f"{name} must be a finite real number, not {value!r}")
+    return number
+
+
+def _require_positive(name, value):
+    """``value`` as a float, or DomainError unless it is a finite real number > 0."""
+    number = _as_real(value)
+    if not 0.0 < number < math.inf:
+        raise DomainError(f"{name} must be a positive finite real number, not {value!r}")
+    return number
 
 
 def _require_seed(seed):
@@ -85,3 +128,11 @@ def _require_seed(seed):
     except (TypeError, ValueError):
         message = f"seed must be a non-negative integer or a sequence of them, not {seed!r}"
         raise DomainError(message) from None
+
+
+def _rng(seed):
+    """``seed`` itself when it is a Generator, else a new one seeded by it."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    _require_seed(seed)
+    return np.random.default_rng(seed)

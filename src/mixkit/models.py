@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .components import FAMILIES, _logs, component_from_dict, validate_observations
-from .errors import DomainError, InvalidMeasureError, SpecDocumentError
+from .errors import DomainError, InvalidMeasureError, SpecDocumentError, _as_real, _require_count
 
 WEIGHT_SUM_TOL = 1e-12
 # canonicalize(): atoms lighter than WEIGHT_EPS are dropped; atoms whose
@@ -39,7 +39,7 @@ class MixingMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((float(w), c) for w, c in self.atoms)
+        atoms = tuple((_as_real(w), c) for w, c in self.atoms)
         if len(atoms) < 1:
             raise InvalidMeasureError("a mixing measure needs at least one atom")
         families = {c.family for _, c in atoms}
@@ -97,7 +97,7 @@ class MixtureModel:
 def permute(measure, perm):
     """Reorder atoms: position k of the result holds atom ``perm[k]`` (1-based)."""
     G = len(measure)
-    perm = [int(p) for p in perm]
+    perm = [_require_count("perm entry", p, 1) for p in perm]
     if sorted(perm) != list(range(1, G + 1)):
         raise DomainError(f"perm must be a bijection of 1..{G}")
     return MixingMeasure(tuple(measure.atoms[p - 1] for p in perm))
@@ -393,7 +393,7 @@ def model_from_dict(doc, context="model"):
             raise SpecDocumentError(f"{context}: atom {k} needs a weight field")
         params = {key: val for key, val in atom.items() if key != "weight"}
         comp = component_from_dict(family, params, context=f"{context}: atom {k}")
-        atoms.append((float(atom["weight"]), comp))
+        atoms.append((atom["weight"], comp))
     try:
         return MixtureModel(MixingMeasure(tuple(atoms)))
     except InvalidMeasureError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, IntervalTooSmallError
+from .errors import DomainError, IntervalTooSmallError, _require_count, _require_finite, _require_positive
 from .models import log_weighted_densities
 
 BISECT_TOL = 1e-10
@@ -30,6 +30,7 @@ DEFAULT_PADDING_SD = 8.0
 def default_search_interval(model, padding=DEFAULT_PADDING_SD):
     """Interval covering all component means padded by ``padding`` max-sd."""
     _require_univariate_normal(model)
+    padding = _require_positive("padding", padding)
     mus = [c.mu for c in model.measure.components]
     smax = max(c.sigma for c in model.measure.components)
     return (min(mus) - padding * smax, max(mus) + padding * smax)
@@ -60,12 +61,10 @@ def find_modes(model, search_interval=None, grid_points=4096):
     _require_univariate_normal(model)
     if search_interval is None:
         search_interval = default_search_interval(model)
-    lo, hi = float(search_interval[0]), float(search_interval[1])
+    lo, hi = (_require_finite("search_interval", search_interval[k]) for k in (0, 1))
     if not (hi > lo):
         raise DomainError("search interval must satisfy lo < hi")
-    grid_points = int(grid_points)
-    if grid_points < MIN_GRID_POINTS:
-        raise DomainError(f"grid_points must be at least {MIN_GRID_POINTS}")
+    grid_points = _require_count("grid_points", grid_points, MIN_GRID_POINTS)
 
     xs = np.linspace(lo, hi, grid_points)
     dens, deriv = _density_and_derivative(model, xs)

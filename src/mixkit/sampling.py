@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidMeasureError, _require_count
+from .errors import DomainError, InvalidMeasureError, _as_real, _require_count, _require_finite
+from .errors import _require_positive, _rng
 from .models import WEIGHT_SUM_TOL
 
 __all__ = [
@@ -29,12 +30,6 @@ __all__ = [
     "sample_scale_mixture",
     "sample_monotone_density",
 ]
-
-
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _categorical(rng, weights, n):
@@ -69,8 +64,8 @@ class HMMSpec:
     components: tuple
 
     def __post_init__(self):
-        initial = tuple(float(p) for p in self.initial)
-        xi = tuple(tuple(float(p) for p in row) for row in self.xi)
+        initial = tuple(_require_finite("initial entry", p) for p in self.initial)
+        xi = tuple(tuple(_require_finite("xi entry", p) for p in row) for row in self.xi)
         comps = tuple(self.components)
         G = len(comps)
         if G < 1:
@@ -80,8 +75,8 @@ class HMMSpec:
         if len(initial) != G or len(xi) != G or any(len(row) != G for row in xi):
             raise DomainError("initial and xi must match the number of states")
         for row in (initial,) + xi:
-            if any(p < 0.0 or not math.isfinite(p) for p in row):
-                raise DomainError("probabilities must be finite and non-negative")
+            if any(p < 0.0 for p in row):
+                raise DomainError("probabilities must be non-negative")
             if abs(math.fsum(row) - 1.0) > WEIGHT_SUM_TOL:
                 raise DomainError("probability rows must sum to 1")
         object.__setattr__(self, "initial", initial)
@@ -105,8 +100,8 @@ class InverseGamma:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.scale > 0.0):
-            raise DomainError("shape and scale must be positive")
+        _require_positive("shape", self.shape)
+        _require_positive("scale", self.scale)
 
 
 @dataclass(frozen=True)
@@ -116,8 +111,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DomainError("rate must be positive")
+        _require_positive("rate", self.rate)
 
 
 def _emit(components, labels, rng):
@@ -141,9 +135,7 @@ def sample_mixture(model, n, seed):
     allocated component.  Labels are 1-based.
     """
     n = _require_count("n", n)
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    rng = _as_rng(seed)
+    rng = _rng(seed)
     measure = model.measure
     idx = _categorical(rng, measure.weights, n)
     data = _emit(measure.components, idx, rng)
@@ -161,10 +153,8 @@ def sample_hmm(spec, T, seed):
     Python floats with ``bisect_right``, which makes the same comparisons as
     ``np.searchsorted(..., side="right")``.  Emissions follow, state by state.
     """
-    T = _require_count("T", T)
-    if T < 1:
-        raise DomainError("T must be at least 1")
-    rng = _as_rng(seed)
+    T = _require_count("T", T, 1)
+    rng = _rng(seed)
     last = spec.G - 1
     cum_init = np.cumsum(spec.initial).tolist()
     cum_rows = np.cumsum(np.asarray(spec.xi, dtype=float), axis=1).tolist()
@@ -186,12 +176,8 @@ def sample_scale_mixture(mu, mixing, n, seed):
     Laplace distribution.  Both mixing laws act on the variance, not the sd.
     """
     n = _require_count("n", n)
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise DomainError("mu must be finite")
-    rng = _as_rng(seed)
+    mu = _require_finite("mu", mu)
+    rng = _rng(seed)
     if isinstance(mixing, InverseGamma):
         variances = 1.0 / rng.gamma(mixing.shape, 1.0 / mixing.scale, size=n)
     elif isinstance(mixing, Exponential):
@@ -208,19 +194,14 @@ def sample_monotone_density(thetas, n, seed):
     and weights on the simplex.
     """
     n = _require_count("n", n)
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    pairs = [(float(w), float(t)) for w, t in thetas]
+    pairs = [(_as_real(w), _require_positive("theta", t)) for w, t in thetas]
     if not pairs:
         raise DomainError("at least one atom is required")
-    for w, t in pairs:
-        if w < 0.0:
-            raise InvalidMeasureError("weights must be non-negative")
-        if not (math.isfinite(t) and t > 0.0):
-            raise DomainError("every theta must be positive")
+    if not all(w >= 0.0 for w, _ in pairs):
+        raise InvalidMeasureError("weights must be non-negative")
     if abs(math.fsum(w for w, _ in pairs) - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidMeasureError("weights must sum to 1")
-    rng = _as_rng(seed)
+    rng = _rng(seed)
     weights = np.array([w for w, _ in pairs])
     uppers = np.array([t for _, t in pairs])
     idx = _categorical(rng, weights, n)

@@ -531,3 +531,55 @@ def test_console_entry_point_runs(tmp_path, spec_file):
     )
     assert proc.returncode == 0
     assert len(read_rows(out)) == 10
+
+
+PRIOR_DOC = {"schema_version": 1, "kind": "prior", "dirichlet_weights": [1.0, 1.0], "normal_mean_loc": 0.0,
+             "normal_mean_scale": 10.0, "ig_shape": 2.0, "ig_scale": 1.0}
+
+
+@pytest.mark.parametrize("field, value", [("normal_mean_scale", math.inf), ("normal_mean_loc", math.nan),
+                                          ("normal_mean_scale", 1e200), ("normal_mean_scale", 1e-200),
+                                          ("dirichlet_weights", [1.0, math.inf])])
+def test_a_prior_document_with_a_bad_field_is_a_parse_error(tmp_path, capsys, field, value):
+    data = tmp_path / "data.csv"
+    ys = np.random.default_rng(0).normal(size=40) + np.repeat([0.0, 4.0], 20)
+    data.write_text("y\n" + "".join(f"{v:.17g}\n" for v in ys), encoding="utf-8")
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({**PRIOR_DOC, field: value}), encoding="utf-8")
+    out = tmp_path / "run" / "g.json"
+    out.parent.mkdir()
+    argv = ["fit", "--method", "gibbs", "--data", str(data), "--G", "2", "--burn-in", "5", "--samples", "10",
+            "--prior", str(prior), "--out", str(out)]
+    assert main(argv) == EXIT_PARSE
+    assert field in capsys.readouterr().err
+    assert os.listdir(out.parent) == []
+
+
+@pytest.mark.parametrize("doc", [{"weight": "abc"}, {"weight": True}, {"sigma": "1"}])
+def test_a_mixture_field_that_is_no_number_is_a_parse_error(tmp_path, capsys, doc):
+    spec = tmp_path / "mix.json"
+    spec.write_text(json.dumps({"schema_version": 1, "kind": "mixture", "family": "normal",
+                                "atoms": [{"weight": 1.0, "mu": 0.0, "sigma": 1.0, **doc}]}), encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--spec", str(spec), "--n", "5", "--out", str(out)]) == EXIT_PARSE
+    assert "mixture" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_negative_seed_is_a_usage_error(tmp_path, spec_file, monkeypatch, capsys):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--spec", spec_file, "--n", "5", "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+    monkeypatch.setenv("MIXKIT_SEED", "-1")
+    assert main(["simulate", "--spec", spec_file, "--n", "5", "--out", str(out)]) == EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_negative_y_max_names_the_flag(tmp_path, capsys):
+    spec = tmp_path / "nb.json"
+    spec.write_text(json.dumps({"schema_version": 1, "kind": "negative_binomial", "alpha": 3.0, "beta": 2.0}))
+    out = tmp_path / "nb.csv"
+    assert main(["compound", "--spec", str(spec), "--y-max", "-1", "--out", str(out)]) == EXIT_USAGE
+    assert "--y-max" in capsys.readouterr().err
+    assert not out.exists()
