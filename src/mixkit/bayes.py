@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import UnivariateNormal, validate_observations
+from .components import UnivariateNormal, _require_univariate_normal, validate_observations
 from .em import e_step
 from .errors import DegeneratePointError, DomainError
 from .errors import _require_count, _require_finite, _require_positive, _require_seed, _rng
@@ -249,8 +249,7 @@ def gibbs_sweep(state, data, prior, seed):
     Components with no members fall back to their prior automatically since
     the update coefficients reduce to the prior's when n_g = 0.
     """
-    if state.measure.family != "normal":
-        raise DomainError("the Gibbs sampler handles univariate Normal mixtures")
+    _require_univariate_normal(state.measure.family, "the Gibbs sampler")
     rng = _rng(seed)
     arr = validate_observations("normal", data)
     if prior.G != state.measure.G:

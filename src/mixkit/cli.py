@@ -43,6 +43,7 @@ from .bayes import (
     run_gibbs,
     summarize_H,
 )
+from .components import FAMILIES, _require_univariate_normal
 from .compound import (
     BetaBinomialParams,
     DirichletMultinomialParams,
@@ -64,9 +65,9 @@ from .errors import (
     SpecDocumentError,
     _require_count,
 )
-from .models import MixtureModel, _logsumexp, log_weighted_densities
+from .models import MixtureModel, _logsumexp, _measure_params, log_weighted_densities
 from .modelspec import document_for, load_document
-from .modes import default_search_interval, find_modes
+from .modes import find_modes
 from .sampling import HMMSpec, sample_hmm, sample_mixture
 
 EXIT_OK = 0
@@ -223,7 +224,7 @@ def _cmd_simulate(args):
     else:
         sample = sample_mixture(obj, n, seed)
         data, z = sample.data, sample.z
-    if obj.family == "bivariate_normal":
+    if data.ndim == 2:
         header, columns = ["y1", "y2", "z"], [data[:, 0], data[:, 1], z]
     else:
         header, columns = ["y", "z"], [data, z]
@@ -232,24 +233,13 @@ def _cmd_simulate(args):
 
 
 def _density_table(model, grid):
-    if model.family == "bivariate_normal":
+    """Points, mixture density (pmf) values and the normalisation summary of a table."""
+    family = FAMILIES[model.family]
+    if family.dim != 1:
         raise DomainError("density tables support univariate families only")
-    if model.family == "poisson":
-        lams = [c.lam for c in model.measure.components]
-        top = max(lams)
-        if grid is None:
-            y_max = int(math.ceil(top + 20.0 * math.sqrt(top)))
-            ys = np.arange(0, y_max + 1)
-        else:
-            lo, hi, _ = grid
-            ys = np.arange(max(0, int(math.ceil(lo))), int(math.floor(hi)) + 1)
-            if ys.size == 0:
-                raise DomainError("grid covers no non-negative integers")
-    else:
-        lo, hi, points = grid if grid is not None else (*default_search_interval(model), 2001)
-        ys = np.linspace(lo, hi, points)
+    ys = family._table_points(*_measure_params(model.measure), grid)
     vals = np.exp(_logsumexp(log_weighted_densities(model, ys)))
-    if model.family == "poisson":
+    if family.discrete:
         return ys, vals, {"pmf_sum": math.fsum(vals.tolist())}
     return ys, vals, {"trapezoid_integral": float(np.trapezoid(vals, ys))}
 
@@ -258,7 +248,7 @@ def _cmd_density(args):
     model = _load_spec(args.spec, ("mixture",), "density")
     grid = _parse_grid(args.grid) if args.grid else None
     xs, vals, extra = _density_table(model, grid)
-    name = "pmf" if model.family == "poisson" else "density"
+    name = "pmf" if FAMILIES[model.family].discrete else "density"
     return Produced({args.out: _csv_text(["y", name], [xs, vals])}, None,
                     {"spec": args.spec, "grid": args.grid}, [args.spec], extra)
 
@@ -307,12 +297,7 @@ def _cmd_fit(args):
     seed = _resolve_seed(args)
     data = _read_data(args.data)
     G = args.G
-    if data.ndim == 2:
-        family = "bivariate_normal"
-    elif args.family == "poisson":
-        family = "poisson"
-    else:
-        family = "normal"
+    family = "bivariate_normal" if data.ndim == 2 else args.family
 
     if args.method in ("em", "hard-em"):
         config = EMConfig(
@@ -338,8 +323,7 @@ def _cmd_fit(args):
         return Produced({args.out: _json_text(report)}, seed, report["config"], [args.data], extra)
 
     # gibbs
-    if family != "normal":
-        raise DomainError("gibbs fitting supports univariate Normal data only")
+    _require_univariate_normal(family, "gibbs fitting")
     if len(data) < G:
         raise DomainError("need 1 <= G <= number of observations")
     prior = (
@@ -450,8 +434,6 @@ def _cmd_compound(args):
 
 def _cmd_modes(args):
     model = _load_spec(args.spec, ("mixture",), "modes")
-    if model.family != "normal":
-        raise DomainError("mode counting supports univariate Normal mixtures only")
     if args.grid:
         lo, hi, points = _parse_grid(args.grid)
         locations = find_modes(model, (lo, hi), points)

@@ -4,10 +4,16 @@ Components are immutable value objects.  Log-densities are vectorized over
 observations and assume the observations already lie in the family support;
 use :func:`validate_observations` (or the module-level helpers on each class)
 to check support membership first.
+
+What depends on the family lives on its class in :data:`FAMILIES`, which fit
+loops, tables and samplers reach as ``FAMILIES[family]``: array-level static
+methods on the parameter arrays (one per dataclass field, one entry per atom)
+and the observation's shape (``dim``) and kind (``discrete``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -17,6 +23,8 @@ from scipy.special import gammaln
 from .errors import DomainError, SpecDocumentError, _require_finite, _require_positive
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+# the default search interval pads the Normal means by this many largest sds
+DEFAULT_PADDING_SD = 8.0
 
 
 def _logs(values):
@@ -30,8 +38,36 @@ def _atom_rows(values, y_ndim):
     return values.reshape(values.shape + (1,) * y_ndim)
 
 
+def _floor_eigenvalues(cov, floor):
+    """Symmetric copy of ``cov`` with eigenvalues raised to at least ``floor``."""
+    cov = 0.5 * (cov + cov.T)
+    vals, vecs = np.linalg.eigh(cov)
+    if vals[0] < floor:
+        cov = (vecs * np.maximum(vals, floor)) @ vecs.T
+    cov[1, 0] = cov[0, 1]
+    return cov
+
+
+class _Component:
+    """Defaults: an observation is one real, and no per-observation term is cached."""
+
+    dim = 1
+    discrete = False
+
+    @staticmethod
+    def _observation_terms(y):
+        return None
+
+    def density(self, y):
+        return np.exp(self.log_density(y))
+
+    def close_to(self, other, atol):
+        """Every parameter within ``atol`` of ``other``'s (the sort keys hold them all)."""
+        return all(abs(s - o) <= atol for s, o in zip(self.sort_key, other.sort_key))
+
+
 @dataclass(frozen=True)
-class UnivariateNormal:
+class UnivariateNormal(_Component):
     """Normal density on the real line with mean ``mu`` and sd ``sigma``."""
 
     mu: float
@@ -67,14 +103,33 @@ class UnivariateNormal:
         with np.errstate(over="ignore"):
             return self._log_density_rows(np.array([self.mu]), np.array([self.sigma]), y)[0]
 
-    def density(self, y):
-        return np.exp(self.log_density(y))
+    @staticmethod
+    def _m_step(rT, y, totals, floor):
+        """Weighted MLE from responsibility rows ``rT`` (G, n) with row ``totals``."""
+        mus = (rT * y).sum(axis=1) / totals
+        dev = y - mus[:, None]
+        vars_ = (rT * dev * dev).sum(axis=1) / totals
+        return mus, np.sqrt(np.maximum(vars_, floor))
+
+    @staticmethod
+    def _at_points(points, y, floor):
+        """Components centred at ``points`` with the spread of the data ``y``."""
+        return points, np.full(len(points), math.sqrt(max(float(y.var()), floor)))
+
+    @staticmethod
+    def _search_interval(mu, sigma, padding=DEFAULT_PADDING_SD):
+        """The span of the means padded by ``padding`` times the largest sd."""
+        smax = float(sigma.max())
+        return float(mu.min()) - padding * smax, float(mu.max()) + padding * smax
+
+    @staticmethod
+    def _table_points(mu, sigma, grid):
+        """Points of a density table: ``grid`` (lo, hi, points), or 2001 over the search interval."""
+        lo, hi, points = grid if grid is not None else (*UnivariateNormal._search_interval(mu, sigma), 2001)
+        return np.linspace(lo, hi, points)
 
     def sample(self, rng, n):
         return rng.normal(self.mu, self.sigma, size=n)
-
-    def close_to(self, other, atol):
-        return abs(self.mu - other.mu) <= atol and abs(self.sigma - other.sigma) <= atol
 
     def params_dict(self):
         return {"mu": self.mu, "sigma": self.sigma}
@@ -90,13 +145,14 @@ class UnivariateNormal:
 
 
 @dataclass(frozen=True)
-class BivariateNormal:
+class BivariateNormal(_Component):
     """Normal density on the plane; the 2x2 covariance is handled explicitly."""
 
     mean: tuple
     cov: tuple
 
     family = "bivariate_normal"
+    dim = 2
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=object)
@@ -138,8 +194,23 @@ class BivariateNormal:
         y = np.asarray(y, dtype=float)
         return self._log_density_rows(np.array([self.mean]), np.array([self.cov]), y)[0]
 
-    def density(self, y):
-        return np.exp(self.log_density(y))
+    @staticmethod
+    def _m_step(rT, Y, totals, floor):
+        """Weighted MLE from responsibility rows ``rT`` (G, n) with row ``totals``."""
+        G = len(totals)
+        means, covs = np.empty((G, 2)), np.empty((G, 2, 2))
+        for g in range(G):
+            rg = rT[g]
+            means[g] = rg @ Y / totals[g]
+            dev = Y - means[g]
+            covs[g] = _floor_eigenvalues((rg[:, None] * dev).T @ dev / totals[g], floor)
+        return means, covs
+
+    @staticmethod
+    def _at_points(points, Y, floor):
+        """Components centred at ``points`` with the covariance of the data ``Y``."""
+        cov = _floor_eigenvalues(np.cov(Y.T, ddof=0), floor)
+        return points, np.broadcast_to(cov, (len(points), 2, 2)).copy()
 
     def sample(self, rng, n):
         # Cholesky factor of the 2x2 covariance, written out directly.
@@ -152,15 +223,6 @@ class BivariateNormal:
         out[:, 0] = self.mean[0] + l11 * std[:, 0]
         out[:, 1] = self.mean[1] + l21 * std[:, 0] + l22 * std[:, 1]
         return out
-
-    def close_to(self, other, atol):
-        if abs(self.mean[0] - other.mean[0]) > atol or abs(self.mean[1] - other.mean[1]) > atol:
-            return False
-        for row_s, row_o in zip(self.cov, other.cov):
-            for s, o in zip(row_s, row_o):
-                if abs(s - o) > atol:
-                    return False
-        return True
 
     def params_dict(self):
         return {"mean": list(self.mean), "cov": [list(r) for r in self.cov]}
@@ -178,12 +240,14 @@ class BivariateNormal:
 
 
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Component):
     """Poisson pmf on the non-negative integers with mean ``lam``."""
 
     lam: float
 
     family = "poisson"
+    discrete = True
+    RATE_FLOOR = 1e-8  # EM keeps every rate at least this large
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _require_positive("lam", self.lam))
@@ -193,27 +257,48 @@ class Poisson:
         return (self.lam,)
 
     @staticmethod
+    def _observation_terms(y):
+        """log y!, for callers that evaluate the log-density many times."""
+        return gammaln(y + 1.0)
+
+    @staticmethod
     def _log_density_rows(lam, y, log_fact=None, out=None):
         """log pmfs of the Poissons with rates ``lam`` at counts ``y``: shape
         (G, *y.shape).  ``log_fact`` is log y!, when the caller has it; only
         the last operation writes to ``out``, when given."""
         y = np.asarray(y, dtype=float)
         if log_fact is None:
-            log_fact = gammaln(y + 1.0)
+            log_fact = Poisson._observation_terms(y)
         terms = y * _atom_rows(_logs(lam), y.ndim) - _atom_rows(lam, y.ndim)
         return np.subtract(terms, log_fact, out=out)
 
     def log_density(self, y):
         return self._log_density_rows(np.array([self.lam]), y)[0]
 
-    def density(self, y):
-        return np.exp(self.log_density(y))
+    @staticmethod
+    def _m_step(rT, y, totals, floor):
+        """Weighted MLE from responsibility rows ``rT`` (G, n) with row ``totals``."""
+        return (np.maximum((rT * y).sum(axis=1) / totals, Poisson.RATE_FLOOR),)
+
+    @staticmethod
+    def _at_points(points, y, floor):
+        """Components whose rates are ``points``."""
+        return (np.maximum(points, Poisson.RATE_FLOOR),)
+
+    @staticmethod
+    def _table_points(lam, grid):
+        """Counts of a pmf table: those in [lo, hi] of ``grid``, or 0 to 20 sd above the top rate."""
+        if grid is None:
+            top = float(lam.max())
+            return np.arange(0, int(math.ceil(top + 20.0 * math.sqrt(top))) + 1)
+        lo, hi, _ = grid
+        ys = np.arange(max(0, int(math.ceil(lo))), int(math.floor(hi)) + 1)
+        if ys.size == 0:
+            raise DomainError("grid covers no non-negative integers")
+        return ys
 
     def sample(self, rng, n):
         return rng.poisson(self.lam, size=n)
-
-    def close_to(self, other, atol):
-        return abs(self.lam - other.lam) <= atol
 
     def params_dict(self):
         return {"lam": self.lam}
@@ -238,11 +323,11 @@ FAMILIES = {
     "poisson": Poisson,
 }
 
-_PARAM_FIELDS = {
-    "normal": ("mu", "sigma"),
-    "bivariate_normal": ("mean", "cov"),
-    "poisson": ("lam",),
-}
+
+def _require_univariate_normal(family, what):
+    """DomainError unless ``family`` is the univariate Normal, the one family ``what`` handles."""
+    if family != "normal":
+        raise DomainError(f"{what} supports univariate Normal mixtures only, not {family!r}")
 
 
 def component_from_dict(family, params, context="component"):
@@ -253,7 +338,7 @@ def component_from_dict(family, params, context="component"):
     """
     if family not in FAMILIES:
         raise SpecDocumentError(f"{context}: unknown family {family!r}")
-    expected = _PARAM_FIELDS[family]
+    expected = [f.name for f in dataclasses.fields(FAMILIES[family])]
     missing = [k for k in expected if k not in params]
     extra = [k for k in params if k not in expected]
     if missing:

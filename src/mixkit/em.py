@@ -11,12 +11,11 @@ variant actually ascends.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .components import validate_observations
+from .components import FAMILIES, validate_observations
 from .errors import DegeneratePointError, DomainError, EmptyComponentError
 from .errors import _require_count, _require_positive, _require_seed
 from .models import MixingMeasure, MixtureModel, canonicalize, log_weighted_densities, model_to_dict
@@ -24,14 +23,12 @@ from .models import (
     _atom_sum,
     _component_log_densities,
     _exact_sum,
-    _log_factorials,
     _logs,
     _logsumexp,
     _measure_from_params,
     _measure_params,
 )
 
-POISSON_RATE_FLOOR = 1e-8
 EMPTY_RESPONSIBILITY = 1e-300
 
 
@@ -107,14 +104,11 @@ def e_step(model, data):
 
 
 def resolve_variance_floor(data, family, config):
-    """Translate the config's floor (or its data-scaled default) to a number."""
+    """Translate the config's floor (or its default, scaled by the data's mean variance) to a number."""
     if config.variance_floor is not None:
         return float(config.variance_floor)
-    arr = validate_observations(family, data)
-    if family == "bivariate_normal":
-        base = float(np.mean(np.var(arr, axis=0)))
-    else:
-        base = float(np.var(np.asarray(arr, dtype=float)))
+    arr = np.asarray(validate_observations(family, data), dtype=float)
+    base = float(np.mean(np.var(arr, axis=0)))
     return 1e-6 * base if base > 0.0 else 1e-12
 
 
@@ -134,44 +128,12 @@ def _m_step_arrays(data, r, family, floor):
     parameter arrays (see models._measure_params) and the 0-based indices of
     components whose total responsibility underflowed.
     """
-    n = len(data)
     rT = r.T  # (G, n): contiguous rows when r is atom-major
     totals = rT.sum(axis=1)
     empty = np.flatnonzero(totals < EMPTY_RESPONSIBILITY)
     safe = np.where(totals < EMPTY_RESPONSIBILITY, 1.0, totals)
-    weights = totals / n
-    if family == "normal":
-        y = np.asarray(data, dtype=float)
-        mus = (rT * y).sum(axis=1) / safe
-        dev = y - mus[:, None]
-        vars_ = (rT * dev * dev).sum(axis=1) / safe
-        params = (mus, np.sqrt(np.maximum(vars_, floor)))
-    elif family == "poisson":
-        y = np.asarray(data, dtype=float)
-        params = (np.maximum((rT * y).sum(axis=1) / safe, POISSON_RATE_FLOOR),)
-    elif family == "bivariate_normal":
-        Y = np.asarray(data, dtype=float)
-        G = r.shape[1]
-        means, covs = np.empty((G, 2)), np.empty((G, 2, 2))
-        for g in range(G):
-            rg = r[:, g]
-            means[g] = rg @ Y / safe[g]
-            dev = Y - means[g]
-            covs[g] = _floor_eigenvalues((rg[:, None] * dev).T @ dev / safe[g], floor)
-        params = (means, covs)
-    else:
-        raise DomainError(f"unknown family {family!r}")
-    return weights, params, empty
-
-
-def _floor_eigenvalues(cov, floor):
-    """Symmetric copy of ``cov`` with eigenvalues raised to at least ``floor``."""
-    cov = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(cov)
-    if vals[0] < floor:
-        cov = (vecs * np.maximum(vals, floor)) @ vecs.T
-    cov[1, 0] = cov[0, 1]
-    return cov
+    params = FAMILIES[family]._m_step(rT, np.asarray(data, dtype=float), safe, floor)
+    return totals / len(data), params, empty
 
 
 def m_step(data, r, family, config=EMConfig()):
@@ -191,19 +153,6 @@ def m_step(data, r, family, config=EMConfig()):
     return _measure_from_params(family, weights / weights.sum(), params)
 
 
-def _params_at_points(points, data, family, floor):
-    """Parameter arrays of components centred at ``points`` with the data's spread."""
-    arr = np.asarray(data, dtype=float)
-    points = np.asarray(points, dtype=float)
-    k = len(points)
-    if family == "normal":
-        return points, np.full(k, math.sqrt(max(float(arr.var()), floor)))
-    if family == "poisson":
-        return (np.maximum(points, POISSON_RATE_FLOOR),)
-    cov = _floor_eigenvalues(np.cov(arr.T, ddof=0), floor)
-    return points, np.broadcast_to(cov, (k, 2, 2)).copy()
-
-
 def _initial_params(data, G, family, config, rng, floor):
     """(weights, parameter arrays) a run starts from."""
     init = config.init
@@ -218,32 +167,34 @@ def _initial_params(data, G, family, config, rng, floor):
             raise EmptyComponentError(int(empty[0]) + 1)
         return weights / weights.sum(), params
     if init == "k-points":
-        uniq = np.unique(np.asarray(data, dtype=float), axis=0)
+        y = np.asarray(data, dtype=float)
+        uniq = np.unique(y, axis=0)
         if len(uniq) < G:
             raise DomainError(f"need at least {G} distinct data points to seed {G} components")
         picks = uniq[rng.choice(len(uniq), size=G, replace=False)]
-        return np.full(G, 1.0 / G), _params_at_points(picks, data, family, floor)
+        return np.full(G, 1.0 / G), FAMILIES[family]._at_points(picks, y, floor)
     raise DomainError(f"unknown init {init!r}")
 
 
 def _reseed_empty(weights, params, empty, data, family, floor, rng):
     """Replace collapsed components by fresh seeds at random data points."""
     n = len(data)
-    picks = np.asarray(data, dtype=float)[[rng.integers(n) for _ in empty]]
-    for p, fresh in zip(params, _params_at_points(picks, data, family, floor)):
+    y = np.asarray(data, dtype=float)
+    picks = y[[rng.integers(n) for _ in empty]]
+    for p, fresh in zip(params, FAMILIES[family]._at_points(picks, y, floor)):
         p[empty] = fresh
     weights = weights.copy()
     weights[empty] = 1.0 / n
     return weights / weights.sum()
 
 
-def _single_em_run(data, G, family, config, rng, floor, log_fact):
+def _single_em_run(data, G, family, config, rng, floor, terms):
     """One seeded run on parameter arrays; objects are built for the result only.
 
     With restarts=0 an emptied component raises instead of being re-seeded.
     """
     weights, params = _initial_params(data, G, family, config, rng, floor)
-    L = _component_log_densities(family, params, data, log_fact) + _logs(weights)
+    L = _component_log_densities(family, params, data, terms) + _logs(weights)
     r, norm = _responsibilities(L)
     ll = _exact_sum(norm)
     trace = [ll]
@@ -261,7 +212,7 @@ def _single_em_run(data, G, family, config, rng, floor, log_fact):
             weights = _reseed_empty(weights, params, empty, data, family, floor, rng)
         else:
             weights = weights / weights.sum()
-        L = _component_log_densities(family, params, data, log_fact) + _logs(weights)
+        L = _component_log_densities(family, params, data, terms) + _logs(weights)
         r, norm = _responsibilities(L)
         ll_new = _exact_sum(norm)
         trace.append(ll_new)
@@ -282,18 +233,19 @@ def _single_em_run(data, G, family, config, rng, floor, log_fact):
 def _best_of_restarts(run, data, G, family, config):
     """Best final log-likelihood of ``run`` over the seeded restarts.
 
-    The data are validated, and the variance floor and Poisson log y! are
-    computed, once for all runs; each run gets its own spawned generator.
+    The data are validated, and the variance floor and the family's
+    per-observation term (the Poisson log y!) are computed, once for all runs;
+    each run gets its own spawned generator.
     """
     arr = validate_observations(family, data)
     G = _require_count("G", G, 1)
     if len(arr) < G:
         raise DomainError("need at least G observations")
     floor = resolve_variance_floor(arr, family, config)
-    log_fact = _log_factorials(family, arr)
+    terms = FAMILIES[family]._observation_terms(arr)
     best = None
     for child in np.random.SeedSequence(config.seed).spawn(max(config.restarts, 1)):
-        state = run(arr, G, family, config, np.random.default_rng(child), floor, log_fact)
+        state = run(arr, G, family, config, np.random.default_rng(child), floor, terms)
         if best is None or state.loglik > best.loglik:
             best = state
     return best
@@ -335,10 +287,10 @@ def _one_hot(z, G):
     return onehot
 
 
-def _single_hard_em_run(data, G, family, config, rng, floor, log_fact):
+def _single_hard_em_run(data, G, family, config, rng, floor, terms):
     """One seeded hard-EM run; it stops once the allocations stop changing."""
     weights, params = _initial_params(data, G, family, config, rng, floor)
-    z, ll = _hard_step(_component_log_densities(family, params, data, log_fact))
+    z, ll = _hard_step(_component_log_densities(family, params, data, terms))
     trace = [ll]
     converged = False
     for _ in range(config.max_iter):
@@ -349,7 +301,7 @@ def _single_hard_em_run(data, G, family, config, rng, floor, log_fact):
                 f"group {int(empty[0]) + 1} emptied after reallocation",
             )
         weights = weights / weights.sum()
-        z_new, ll = _hard_step(_component_log_densities(family, params, data, log_fact))
+        z_new, ll = _hard_step(_component_log_densities(family, params, data, terms))
         trace.append(ll)
         converged = np.array_equal(z_new, z)
         z = z_new

@@ -15,12 +15,12 @@ callers use its wrapper :func:`_logsumexp`).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .components import FAMILIES, _logs, component_from_dict, validate_observations
 from .errors import DomainError, InvalidMeasureError, SpecDocumentError, _as_real, _require_count
@@ -266,17 +266,13 @@ def _exact_sum(x):
 
 
 def _measure_params(measure):
-    """The family's parameter arrays of a measure, in atom order.
+    """The family's parameter arrays of a measure, one per dataclass field, in atom order.
 
     Normal ``(mu[G], sigma[G])``, Poisson ``(lam[G],)``, bivariate Normal
     ``(mean[G, 2], cov[G, 2, 2])``: the form EM, hard EM and Gibbs iterate on.
     """
     comps = measure.components
-    if measure.family == "normal":
-        return np.array([c.mu for c in comps]), np.array([c.sigma for c in comps])
-    if measure.family == "poisson":
-        return (np.array([c.lam for c in comps]),)
-    return np.array([c.mean for c in comps]), np.array([c.cov for c in comps])
+    return tuple(np.array([getattr(c, f.name) for c in comps]) for f in dataclasses.fields(comps[0]))
 
 
 def _measure_from_params(family, weights, params):
@@ -286,12 +282,7 @@ def _measure_from_params(family, weights, params):
     return MixingMeasure(tuple(zip(weights.tolist(), comps)))
 
 
-def _log_factorials(family, arr):
-    """log y! of Poisson counts, for callers that evaluate the kernel many times; else None."""
-    return gammaln(arr + 1.0) if family == "poisson" else None
-
-
-def _component_log_densities(family, params, arr, log_fact=None, out=None):
+def _component_log_densities(family, params, arr, terms=None, out=None):
     """Unweighted matrix of log f(y_i | theta_g), shape (n, G), atom-major.
 
     The array-level kernel behind every mixture density: ``params`` are the
@@ -299,11 +290,12 @@ def _component_log_densities(family, params, arr, log_fact=None, out=None):
     already validated for the family.  The family's rows (one per atom, the
     formulas of the component classes) are transposed into a Fortran-order
     matrix, so each atom's column is contiguous and every reduction across
-    atoms runs as G vectorised passes.  ``log_fact`` is the Poisson log y!,
-    when the caller has it (see _log_factorials); ``out`` is a (G, n) array
-    for the rows, when the caller has one.
+    atoms runs as G vectorised passes.  ``terms`` is the family's
+    per-observation term (its ``_observation_terms``, the Poisson log y!),
+    when the caller has it; ``out`` is a (G, n) array for the rows, when the
+    caller has one.
     """
-    extra = () if log_fact is None else (log_fact,)
+    extra = () if terms is None else (terms,)
     with np.errstate(over="ignore", divide="ignore"):
         return FAMILIES[family]._log_density_rows(*params, arr, *extra, out=out).T
 

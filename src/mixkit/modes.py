@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .components import DEFAULT_PADDING_SD, UnivariateNormal, _require_univariate_normal
 from .errors import DomainError, IntervalTooSmallError, _require_count, _require_finite, _require_positive
-from .models import log_weighted_densities
+from .models import _measure_params, log_weighted_densities
 
 BISECT_TOL = 1e-10
 # The interval is rejected when the density at either endpoint exceeds this
@@ -24,21 +25,13 @@ BISECT_TOL = 1e-10
 # comfortably clears it (exp(-32) is about 1.3e-14).
 ENDPOINT_MASS_RATIO = 1e-12
 MIN_GRID_POINTS = 1000
-DEFAULT_PADDING_SD = 8.0
 
 
 def default_search_interval(model, padding=DEFAULT_PADDING_SD):
     """Interval covering all component means padded by ``padding`` max-sd."""
-    _require_univariate_normal(model)
+    _require_univariate_normal(model.family, "mode search")
     padding = _require_positive("padding", padding)
-    mus = [c.mu for c in model.measure.components]
-    smax = max(c.sigma for c in model.measure.components)
-    return (min(mus) - padding * smax, max(mus) + padding * smax)
-
-
-def _require_univariate_normal(model):
-    if model.family != "normal":
-        raise DomainError("mode search is defined for univariate Normal mixtures only")
+    return UnivariateNormal._search_interval(*_measure_params(model.measure), padding)
 
 
 def _density_and_derivative(model, xs):
@@ -58,7 +51,7 @@ def find_modes(model, search_interval=None, grid_points=4096):
     by 8 max-sd) and bisects each descending sign change of the derivative
     down to a location tolerance of 1e-10.
     """
-    _require_univariate_normal(model)
+    _require_univariate_normal(model.family, "mode search")
     if search_interval is None:
         search_interval = default_search_interval(model)
     lo, hi = (_require_finite("search_interval", search_interval[k]) for k in (0, 1))

@@ -116,11 +116,8 @@ class Exponential:
 
 def _emit(components, labels, rng):
     """Observations for the 0-based ``labels``, drawn component by component."""
-    family, n = components[0].family, len(labels)
-    if family == "bivariate_normal":
-        data = np.empty((n, 2))
-    else:
-        data = np.empty(n, dtype=np.int64 if family == "poisson" else float)
+    family, n = type(components[0]), len(labels)
+    data = np.empty((n, family.dim) if family.dim > 1 else n, dtype=np.int64 if family.discrete else float)
     for g, comp in enumerate(components):
         members = np.flatnonzero(labels == g)
         if members.size:
