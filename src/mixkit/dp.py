@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, _require_count, _require_positive, _require_seed, _rng
+from .errors import DomainError, _require_count, _require_positive, _rng
 
 # uniforms drawn per block of seating steps (256 KiB of float64)
 _SEAT_BLOCK = 1 << 15
@@ -72,18 +72,6 @@ class Partition:
         return tuple(labels)
 
 
-@dataclass(frozen=True)
-class CRPConfig:
-    alpha: float
-    n: int
-    seed: int = 0
-
-    def __post_init__(self):
-        _require_positive("alpha", self.alpha)
-        _require_count("n", self.n, 1)
-        _require_seed(self.seed)
-
-
 def partition_log_prob(partition, alpha):
     """Exact log-probability of a partition under concentration alpha."""
     _require_positive("alpha", alpha)
@@ -108,11 +96,6 @@ def enumerate_partitions(n):
             yield from rec(k + 1, max(used, j + 1))
 
     return rec(1, 1)
-
-
-def sample_crp(config):
-    """One sequentially seated partition: a single run of :func:`sample_crp_labels`."""
-    return Partition.from_labels(sample_crp_labels(config.alpha, config.n, 1, config.seed)[0].tolist())
 
 
 def _seat(alpha, n, runs, rng, labels=None):

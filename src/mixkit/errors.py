@@ -9,7 +9,8 @@ below, once per call, and nowhere else:
   :func:`_require_count`, which also checks the lower bound;
 - a real is a number, never a str, bytes or bool, and finite
   (:func:`_require_finite`); a scale, shape, rate, concentration or
-  tolerance is also greater than 0 (:func:`_require_positive`);
+  tolerance is also greater than 0 (:func:`_require_positive`); an array of
+  log values may also hold -inf (:func:`_require_log_values`);
 - a seed is what ``numpy.random.SeedSequence`` takes (:func:`_require_seed`);
   the functions that take a seed also take a Generator (:func:`_rng`).
 
@@ -114,6 +115,16 @@ def _require_positive(name, value):
     if not 0.0 < number < math.inf:
         raise DomainError(f"{name} must be a positive finite real number, not {value!r}")
     return number
+
+
+def _require_log_values(name, values):
+    """``values`` as a float array, or DomainError unless every entry is a real
+    number below +inf: -inf, the log of 0, is kept."""
+    values = list(values)
+    for value in values:
+        if not _as_real(value) < math.inf:
+            raise DomainError(f"{name} entries must be real numbers below +inf, not {value!r}")
+    return np.array([_as_real(v) for v in values])
 
 
 def _require_seed(seed):

@@ -16,7 +16,6 @@ callers use its wrapper :func:`_logsumexp`).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -391,15 +390,3 @@ def model_from_dict(doc, context="model"):
     except InvalidMeasureError as exc:
         raise SpecDocumentError(f"{context}: {exc}") from exc
 
-
-def model_to_json(model):
-    """Serialize a model; floats keep their shortest round-tripping form."""
-    return json.dumps(model_to_dict(model), indent=2)
-
-
-def model_from_json(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecDocumentError(f"invalid JSON: {exc}") from exc
-    return model_from_dict(doc)

@@ -204,15 +204,3 @@ def sample_monotone_density(thetas, n, seed):
     idx = _categorical(rng, weights, n)
     return rng.random(n) * uppers[idx]
 
-
-def mixture_cdf(model, y):
-    """Exact cdf of a univariate Normal mixture (test and demo helper)."""
-    from scipy.stats import norm
-
-    if model.family != "normal":
-        raise DomainError("mixture_cdf supports univariate Normal mixtures only")
-    arr = np.asarray(y, dtype=float)
-    out = np.zeros_like(arr)
-    for w, c in model.measure.atoms:
-        out += w * norm.cdf((arr - c.mu) / c.sigma)
-    return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out

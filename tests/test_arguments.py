@@ -111,7 +111,6 @@ COUNTS = {
     "count_modes": {"grid_points": Count(lambda v: mk.count_modes(MODEL, None, v), 1000, bad=(4096.7, "5000"))},
     "Partition": {"blocks": Count(lambda v: mk.Partition(((v, 3), (2,))), 1)},
     "enumerate_partitions": {"n": Count(lambda v: list(mk.enumerate_partitions(v)), 3)},
-    "CRPConfig": {"n": Count(lambda v: mk.sample_crp(mk.CRPConfig(alpha=1.0, n=v, seed=1)), 3)},
     "sample_crp_labels": {
         "n": Count(lambda v: mk.sample_crp_labels(1.0, v, 2, 0), 3),
         "runs": Count(lambda v: mk.sample_crp_labels(1.0, 3, v, 0), 2),
@@ -156,8 +155,6 @@ REALS = {
     },
     "model_from_dict": {"sigma": Real(lambda v: mk.model_from_dict(
         {"family": "normal", "atoms": [{"weight": 1.0, "mu": 0.0, "sigma": v}]}), True, SPEC)},
-    "model_from_json": {"lam": Real(lambda v: mk.model_from_json(json.dumps(
-        {"family": "poisson", "atoms": [{"weight": 1.0, "lam": v}]})), True, SPEC)},
     "HMMSpec": {
         "initial": Real(lambda v: mk.HMMSpec((v, 0.5), HMM.xi, HMM.components), False),
         "xi": Real(lambda v: mk.HMMSpec(HMM.initial, ((v, 0.1), (0.2, 0.8)), HMM.components), False),
@@ -193,7 +190,6 @@ REALS = {
     "default_search_interval": {"padding": Real(lambda v: mk.default_search_interval(MODEL, v), True)},
     "find_modes": {"search_interval": Real(lambda v: mk.find_modes(MODEL, (v, 20.0), 1000), False)},
     "count_modes": {"search_interval": Real(lambda v: mk.count_modes(MODEL, (-20.0, v), 1000), False)},
-    "CRPConfig": {"alpha": Real(lambda v: mk.CRPConfig(alpha=v, n=3), True)},
     "partition_log_prob": {"alpha": Real(lambda v: mk.partition_log_prob(mk.Partition(((1, 2),)), v), True)},
     "sample_crp_labels": {"alpha": Real(lambda v: mk.sample_crp_labels(v, 3, 2, 0), True)},
     "crp_block_counts": {"alpha": Real(lambda v: mk.crp_block_counts(v, 3, 2, 0), True)},
@@ -214,6 +210,11 @@ REALS = {
     },
 }
 
+# entry point -> {argument: call with one entry of the array}; -inf, the log of 0, is a valid entry
+LOG_VALUES = {
+    "combine_log_marginals": {"log_marginals": lambda v: mk.combine_log_marginals([v, 0.0], (0.5, 0.5))},
+}
+
 # entry point -> call with the seed, giving its draws; configs store seeds and take no Generator
 SEEDED = {
     "sample_mixture": lambda s: dataclasses.astuple(mk.sample_mixture(MODEL, 3, s))[:2],
@@ -230,7 +231,6 @@ SEEDED_CONFIGS = {
     "EMConfig": lambda s: mk.EMConfig(seed=s),
     "GibbsConfig": lambda s: mk.GibbsConfig(seed=s),
     "EvidenceConfig": lambda s: mk.EvidenceConfig(seed=s),
-    "CRPConfig": lambda s: mk.CRPConfig(alpha=1.0, n=3, seed=s),
 }
 
 EXEMPT = {
@@ -249,10 +249,8 @@ EXEMPT = {
     "hard_allocations": "takes observations, checked by validate_observations",
     "allocation_probabilities": "takes observations, checked by validate_observations",
     "m_step": "observations and a responsibility matrix; its config is an EMConfig",
-    "mixture_cdf": "the cdf of an observation array, nan giving nan as in numpy",
     "fit_report": "formats a finished EMState",
     "summarize_H": "takes a PosteriorSample and a functional",
-    "combine_log_marginals": "vectors: -inf log evidence is valid; prior_on_G is checked as a simplex",
     "ParamRegion": "extended-real bounds (+-inf is valid); nan bounds are tested below",
     "AtomCountInSet": "a functional tag holding a ParamRegion",
     "TotalWeightInSet": "a functional tag holding a ParamRegion",
@@ -263,7 +261,6 @@ EXEMPT = {
     "SummaryStatistics": "a result record",
     "EMState": "a result record",
     "LabeledSample": "a result record",
-    "sample_crp": "takes a CRPConfig, checked on construction",
     "negbinom_mean": "takes a checked NegativeBinomialParams",
     "negbinom_variance": "takes a checked NegativeBinomialParams",
     "over_dispersion_ratio": "takes checked compound parameters",
@@ -271,13 +268,13 @@ EXEMPT = {
     "document_for": "serialises a checked object",
     "dump_document": "serialises a checked object",
     "model_to_dict": "serialises a checked model",
-    "model_to_json": "serialises a checked model",
 }
 
 BAD_COUNTS = [2.5, 2.0, math.nan, math.inf, -math.inf, -1, True, "2"]
 BAD_OBSERVED_COUNTS = [2.5, math.nan, math.inf, -math.inf, -1, True, "2"]
 BAD_REALS = [math.nan, math.inf, -math.inf, "1", True]
 BAD_POSITIVE_REALS = [0.0, -1.0] + BAD_REALS
+BAD_LOG_VALUES = [math.nan, math.inf, "1", b"1", True]
 BAD_SEEDS = [1.5, -1, "7", [1, -2]]
 
 
@@ -339,6 +336,16 @@ def test_a_real_that_is_no_finite_number_or_not_positive_raises(row, name, value
     raises_naming(row.error, name, row.call, value)
 
 
+@pytest.mark.parametrize("call, name, value", cases(LOG_VALUES, lambda call: BAD_LOG_VALUES))
+def test_a_log_value_that_is_no_real_below_inf_raises(call, name, value):
+    raises_naming(mk.DomainError, name, call, value)
+
+
+@pytest.mark.parametrize("call, name", rows(LOG_VALUES))
+def test_a_log_value_may_be_minus_inf(call, name):
+    assert plain(call(-math.inf)) == plain(call(np.float64(-math.inf))) == plain(np.array([0.0, 1.0]))
+
+
 SEED_CASES = [pytest.param(call, seed, id=f"{entry}-{seed!r}") for table, bad in
               ((SEEDED, BAD_SEEDS), (SEEDED_CONFIGS, BAD_SEEDS + [np.random.default_rng(5)]))
               for entry, call in table.items() for seed in bad]
@@ -372,7 +379,7 @@ def test_param_region_bounds_are_never_nan(bound):
 
 def test_every_public_callable_is_tabled_or_exempt():
     public = {name for name in mk.__all__ if callable(getattr(mk, name))}
-    tabled = set(COUNTS) | set(OBSERVED_COUNTS) | set(REALS) | set(SEEDED) | set(SEEDED_CONFIGS)
+    tabled = set(COUNTS) | set(OBSERVED_COUNTS) | set(REALS) | set(LOG_VALUES) | set(SEEDED) | set(SEEDED_CONFIGS)
     assert sorted(public - tabled - set(EXEMPT)) == []
     assert sorted(tabled & set(EXEMPT)) == []
     assert sorted((tabled | set(EXEMPT)) - public) == []

@@ -64,11 +64,9 @@ def test_partition_law_sums_to_one():
 
 
 def test_sample_crp_reproducible_and_valid():
-    config = mk.CRPConfig(alpha=1.2, n=40, seed=5)
-    a = mk.sample_crp(config)
-    b = mk.sample_crp(config)
-    assert a == b
-    assert a.n == 40
+    a = mk.sample_crp_labels(1.2, 40, 1, 5)
+    assert np.array_equal(a, mk.sample_crp_labels(1.2, 40, 1, 5))
+    assert mk.Partition.from_labels(a[0].tolist()).n == 40
 
 
 def test_sample_crp_labels_matrix():
@@ -80,15 +78,10 @@ def test_sample_crp_labels_matrix():
     assert np.all(labels[:, 1:] <= running_max[:, :-1] + 1)
 
 
-def test_scalar_and_matrix_samplers_agree_in_law():
-    # compare mean cluster counts from the two implementations
-    runs = 2000
-    scalar_counts = [mk.sample_crp(mk.CRPConfig(alpha=1.0, n=12, seed=s)).d for s in range(runs)]
-    labels = mk.sample_crp_labels(1.0, 12, runs, 99)
+def test_sampled_cluster_counts_match_the_expectation():
+    labels = mk.sample_crp_labels(1.0, 12, 2000, 99)
     matrix_counts = labels.max(axis=1) + 1
-    want = mk.expected_cluster_count(1.0, 12)
-    assert abs(np.mean(scalar_counts) - want) < 0.1
-    assert abs(np.mean(matrix_counts) - want) < 0.1
+    assert abs(np.mean(matrix_counts) - mk.expected_cluster_count(1.0, 12)) < 0.1
 
 
 def test_expected_cluster_count_small_cases():
@@ -111,11 +104,11 @@ def test_larger_alpha_opens_more_blocks():
     assert large > small
 
 
-def test_crp_config_validation():
+def test_crp_sampler_validation():
     with pytest.raises(mk.DomainError):
-        mk.CRPConfig(alpha=0.0, n=5)
+        mk.sample_crp_labels(0.0, 5, 1, 1)
     with pytest.raises(mk.DomainError):
-        mk.CRPConfig(alpha=1.0, n=0)
+        mk.sample_crp_labels(1.0, 0, 1, 1)
     with pytest.raises(mk.DomainError):
         mk.sample_crp_labels(1.0, 5, 0, 1)
 
@@ -246,7 +239,6 @@ def test_seating_bits_do_not_depend_on_the_block_size(monkeypatch, block):
 def test_concentration_must_be_positive_and_finite(bad):
     p = mk.Partition.from_labels([1, 1, 2])
     calls = (
-        lambda: mk.CRPConfig(alpha=bad, n=5),
         lambda: mk.partition_log_prob(p, bad),
         lambda: mk.sample_crp_labels(bad, 5, 3, 0),
         lambda: mk.crp_block_counts(bad, 5, 3, 0),
@@ -258,11 +250,6 @@ def test_concentration_must_be_positive_and_finite(bad):
 
 
 def test_crp_counts_and_seeds_must_be_integers():
-    with pytest.raises(mk.DomainError, match="n must be an integer"):
-        mk.CRPConfig(alpha=1.0, n=2.5)
-    for seed in (1.5, -1, "3"):
-        with pytest.raises(mk.DomainError, match="seed"):
-            mk.CRPConfig(alpha=1.0, n=5, seed=seed)
     for sampler in (mk.sample_crp_labels, mk.crp_block_counts):
         with pytest.raises(mk.DomainError, match="n must be an integer"):
             sampler(1.0, 2.5, 3, 0)
@@ -272,6 +259,5 @@ def test_crp_counts_and_seeds_must_be_integers():
             sampler(1.0, 3, 2, -1)
         with pytest.raises(mk.DomainError, match="seed"):
             sampler(1.0, 3, 2, 0.5)
-    assert mk.sample_crp(mk.CRPConfig(alpha=1.0, n=np.int64(6), seed=np.uint8(3))).n == 6
     labels = mk.sample_crp_labels(1.0, np.int32(4), np.int64(2), np.random.default_rng(1))
     assert labels.shape == (2, 4)

@@ -7,7 +7,6 @@ CONFIGS = {
     "EMConfig": lambda seed: mk.EMConfig(seed=seed),
     "GibbsConfig": lambda seed: mk.GibbsConfig(seed=seed),
     "EvidenceConfig": lambda seed: mk.EvidenceConfig(seed=seed),
-    "CRPConfig": lambda seed: mk.CRPConfig(alpha=1.0, n=3, seed=seed),
 }
 
 
