@@ -364,8 +364,6 @@ def _cmd_fit(args):
 def _cmd_select_g(args):
     seed = _resolve_seed(args)
     data = _read_data(args.data)
-    if data.ndim != 1:
-        raise DomainError("select-g expects univariate data")
     sizes = list(range(args.g_min, args.g_max + 1))
     config = EvidenceConfig(n_prior_draws=args.prior_draws, seed=seed)
     estimates = evidence_over_G(data, sizes, lambda G: default_prior(data, G), config)
