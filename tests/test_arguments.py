@@ -153,8 +153,12 @@ REALS = {
     "component_from_dict": {
         "mu": Real(lambda v: mk.component_from_dict("normal", {"mu": v, "sigma": 1.0}), False, SPEC),
     },
-    "model_from_dict": {"sigma": Real(lambda v: mk.model_from_dict(
-        {"family": "normal", "atoms": [{"weight": 1.0, "mu": 0.0, "sigma": v}]}), True, SPEC)},
+    "model_from_dict": {
+        "sigma": Real(lambda v: mk.model_from_dict(
+            {"family": "normal", "atoms": [{"weight": 1.0, "mu": 0.0, "sigma": v}]}), True, SPEC),
+        "lam": Real(lambda v: mk.model_from_dict(
+            {"family": "poisson", "atoms": [{"weight": 1.0, "lam": v}]}), True, SPEC),
+    },
     "HMMSpec": {
         "initial": Real(lambda v: mk.HMMSpec((v, 0.5), HMM.xi, HMM.components), False),
         "xi": Real(lambda v: mk.HMMSpec(HMM.initial, ((v, 0.1), (0.2, 0.8)), HMM.components), False),

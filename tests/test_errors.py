@@ -10,20 +10,44 @@ CONFIGS = {
 }
 
 
+# the CRP samplers take the seed itself, so a Generator is accepted there
+SAMPLERS = {
+    "sample_crp_labels": lambda seed: mk.sample_crp_labels(1.0, 3, 2, seed),
+    "crp_block_counts": lambda seed: mk.crp_block_counts(1.0, 3, 2, seed),
+}
+BAD_SEEDS = [1.5, 2.0, -1, [1, -2], [0.5], "7", b"7", np.float64(3.0)]
+GOOD_SEEDS = [None, 0, 7, True, 2**100, np.int64(3), np.uint32(4), [1, 2], (3,),
+              [], np.array([5, 6]), [np.int32(1), 2**70]]
+
+
 @pytest.mark.parametrize("make", CONFIGS.values(), ids=CONFIGS.keys())
-@pytest.mark.parametrize("seed", [1.5, 2.0, -1, [1, -2], [0.5], "7", b"7", np.float64(3.0),
-                                  np.random.default_rng(0)])
+@pytest.mark.parametrize("seed", BAD_SEEDS + [np.random.default_rng(0)])
 def test_configs_reject_what_seed_sequence_rejects(make, seed):
     with pytest.raises(mk.DomainError, match="seed"):
         make(seed)
 
 
 @pytest.mark.parametrize("make", CONFIGS.values(), ids=CONFIGS.keys())
-@pytest.mark.parametrize("seed", [None, 0, 7, True, 2**100, np.int64(3), np.uint32(4), [1, 2], (3,),
-                                  [], np.array([5, 6]), [np.int32(1), 2**70]])
+@pytest.mark.parametrize("seed", GOOD_SEEDS)
 def test_configs_accept_what_seed_sequence_takes(make, seed):
     np.random.SeedSequence(seed)
     assert make(seed).seed is seed
+
+
+@pytest.mark.parametrize("sample", SAMPLERS.values(), ids=SAMPLERS.keys())
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_samplers_reject_what_seed_sequence_rejects(sample, seed):
+    with pytest.raises(mk.DomainError, match="seed"):
+        sample(seed)
+
+
+@pytest.mark.parametrize("sample", SAMPLERS.values(), ids=SAMPLERS.keys())
+@pytest.mark.parametrize("seed", GOOD_SEEDS)
+def test_samplers_accept_what_seed_sequence_takes(sample, seed):
+    np.random.SeedSequence(seed)
+    drawn = sample(seed)
+    if seed is not None:  # None draws fresh entropy each call
+        assert np.array_equal(drawn, sample(np.random.default_rng(seed)))
 
 
 def test_a_float_seed_fails_before_the_run():
