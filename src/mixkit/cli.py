@@ -32,7 +32,6 @@ import scipy
 
 from . import __version__
 from .bayes import (
-    ConjugatePrior,
     EvidenceConfig,
     GibbsConfig,
     PredictiveDensityAt,
@@ -46,7 +45,6 @@ from .bayes import (
 from .components import FAMILIES, _require_univariate_normal
 from .compound import (
     BetaBinomialParams,
-    DirichletMultinomialParams,
     NegativeBinomialParams,
     betabinom_pmf,
     dirmult_pmf,
@@ -65,8 +63,8 @@ from .errors import (
     SpecDocumentError,
     _require_count,
 )
-from .models import MixtureModel, _logsumexp, _measure_params, log_weighted_densities
-from .modelspec import document_for, load_document
+from .models import _logsumexp, _measure_params, log_weighted_densities
+from .modelspec import _kind_of, document_for, load_document
 from .modes import find_modes
 from .sampling import HMMSpec, sample_hmm, sample_mixture
 
@@ -197,15 +195,7 @@ def _read_data(path):
 
 def _load_spec(path, expected_kinds, what):
     obj = load_document(path)
-    kind_map = {
-        MixtureModel: "mixture",
-        HMMSpec: "hmm",
-        ConjugatePrior: "prior",
-        BetaBinomialParams: "beta_binomial",
-        NegativeBinomialParams: "negative_binomial",
-        DirichletMultinomialParams: "dirichlet_multinomial",
-    }
-    kind = kind_map.get(type(obj))
+    kind = _kind_of(obj)
     if kind not in expected_kinds:
         raise DomainError(f"{what} expects a spec of kind {expected_kinds}, got {kind!r}")
     return obj

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, SpecDocumentError, _require_finite, _require_positive
+from .errors import DomainError, SpecDocumentError, _require_fields, _require_finite, _require_positive
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 # the default search interval pads the Normal means by this many largest sds
@@ -36,6 +36,14 @@ def _logs(values):
 def _atom_rows(values, y_ndim):
     """A (G,) parameter array shaped to broadcast one row per atom against y."""
     return values.reshape(values.shape + (1,) * y_ndim)
+
+
+def _fields_dict(obj):
+    """A dataclass's fields by name, each tuple (nested ones too) as a list: its JSON form."""
+    def plain(value):
+        return [plain(v) for v in value] if isinstance(value, tuple) else value
+
+    return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
 def _floor_eigenvalues(cov, floor):
@@ -60,6 +68,9 @@ class _Component:
 
     def density(self, y):
         return np.exp(self.log_density(y))
+
+    def params_dict(self):
+        return _fields_dict(self)
 
     def close_to(self, other, atol):
         """Every parameter within ``atol`` of ``other``'s (the sort keys hold them all)."""
@@ -130,9 +141,6 @@ class UnivariateNormal(_Component):
 
     def sample(self, rng, n):
         return rng.normal(self.mu, self.sigma, size=n)
-
-    def params_dict(self):
-        return {"mu": self.mu, "sigma": self.sigma}
 
     @staticmethod
     def validate_observations(y):
@@ -224,9 +232,6 @@ class BivariateNormal(_Component):
         out[:, 1] = self.mean[1] + l21 * std[:, 0] + l22 * std[:, 1]
         return out
 
-    def params_dict(self):
-        return {"mean": list(self.mean), "cov": [list(r) for r in self.cov]}
-
     @staticmethod
     def validate_observations(y):
         arr = np.asarray(y, dtype=float)
@@ -300,9 +305,6 @@ class Poisson(_Component):
     def sample(self, rng, n):
         return rng.poisson(self.lam, size=n)
 
-    def params_dict(self):
-        return {"lam": self.lam}
-
     @staticmethod
     def validate_observations(y):
         arr = np.asarray(y)
@@ -338,15 +340,9 @@ def component_from_dict(family, params, context="component"):
     """
     if family not in FAMILIES:
         raise SpecDocumentError(f"{context}: unknown family {family!r}")
-    expected = [f.name for f in dataclasses.fields(FAMILIES[family])]
-    missing = [k for k in expected if k not in params]
-    extra = [k for k in params if k not in expected]
-    if missing:
-        raise SpecDocumentError(f"{context}: missing field(s) {missing}")
-    if extra:
-        raise SpecDocumentError(f"{context}: unknown field(s) {extra}")
+    _require_fields(params, [f.name for f in dataclasses.fields(FAMILIES[family])], context)
     try:
-        return FAMILIES[family](**{k: params[k] for k in expected})
+        return FAMILIES[family](**params)
     except DomainError as exc:
         raise SpecDocumentError(f"{context}: {exc}") from exc
 

@@ -14,7 +14,9 @@ below, once per call, and nowhere else:
 - a seed is what ``numpy.random.SeedSequence`` takes (:func:`_require_seed`);
   the functions that take a seed also take a Generator (:func:`_rng`).
 
-Each violation raises DomainError naming the argument.
+Each violation raises DomainError naming the argument.  A serialized mapping
+(a spec document, a model, a component) must hold exactly its fields
+(:func:`_require_fields`), or SpecDocumentError names them.
 """
 
 import math
@@ -125,6 +127,18 @@ def _require_log_values(name, values):
         if not _as_real(value) < math.inf:
             raise DomainError(f"{name} entries must be real numbers below +inf, not {value!r}")
     return np.array([_as_real(v) for v in values])
+
+
+def _require_fields(doc, fields, context):
+    """SpecDocumentError unless ``doc`` is a mapping whose keys are exactly ``fields``."""
+    if not isinstance(doc, dict):
+        raise SpecDocumentError(f"{context}: expected a mapping")
+    missing = [k for k in fields if k not in doc]
+    if missing:
+        raise SpecDocumentError(f"{context}: missing field(s) {missing}")
+    extra = [k for k in doc if k not in fields]
+    if extra:
+        raise SpecDocumentError(f"{context}: unknown field(s) {extra}")
 
 
 def _require_seed(seed):

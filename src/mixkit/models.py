@@ -23,6 +23,7 @@ import numpy as np
 
 from .components import FAMILIES, _logs, component_from_dict, validate_observations
 from .errors import DomainError, InvalidMeasureError, SpecDocumentError, _as_real, _require_count
+from .errors import _require_fields
 
 WEIGHT_SUM_TOL = 1e-12
 # canonicalize(): atoms lighter than WEIGHT_EPS are dropped; atoms whose
@@ -367,13 +368,8 @@ def model_to_dict(model):
 
 
 def model_from_dict(doc, context="model"):
-    if not isinstance(doc, dict):
-        raise SpecDocumentError(f"{context}: expected a mapping")
-    family = doc.get("family")
-    atoms_doc = doc.get("atoms")
-    extra = [k for k in doc if k not in ("family", "atoms")]
-    if extra:
-        raise SpecDocumentError(f"{context}: unknown field(s) {extra}")
+    _require_fields(doc, ("family", "atoms"), context)
+    family, atoms_doc = doc["family"], doc["atoms"]
     if family not in FAMILIES:
         raise SpecDocumentError(f"{context}: unknown family {family!r}")
     if not isinstance(atoms_doc, list) or not atoms_doc:

@@ -8,48 +8,49 @@ rejected so that typos fail loudly instead of being ignored.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .bayes import ConjugatePrior
-from .components import component_from_dict
+from .components import _fields_dict, component_from_dict
 from .compound import (
     BetaBinomialParams,
     DirichletMultinomialParams,
     NegativeBinomialParams,
 )
-from .errors import DomainError, MixtureError, SpecDocumentError
+from .errors import DomainError, MixtureError, SpecDocumentError, _require_fields
 from .models import MixtureModel, model_from_dict, model_to_dict
 from .sampling import HMMSpec
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "mixture",
-    "hmm",
-    "prior",
-    "beta_binomial",
-    "negative_binomial",
-    "dirichlet_multinomial",
-)
+# kind -> the class its documents parse to.  A flat kind's document holds
+# exactly its class's dataclass fields; mixture and hmm documents name theirs
+# differently (atoms, transition, emissions) and have their own code.
+_CLASSES = {
+    "mixture": MixtureModel,
+    "hmm": HMMSpec,
+    "prior": ConjugatePrior,
+    "beta_binomial": BetaBinomialParams,
+    "negative_binomial": NegativeBinomialParams,
+    "dirichlet_multinomial": DirichletMultinomialParams,
+}
+KINDS = tuple(_CLASSES)
+_ENVELOPE = ("schema_version", "kind")
 
 
-def _require_fields(doc, fields, context):
-    missing = [k for k in fields if k not in doc]
-    extra = [k for k in doc if k not in fields]
-    if missing:
-        raise SpecDocumentError(f"{context}: missing field(s) {missing}")
-    if extra:
-        raise SpecDocumentError(f"{context}: unknown field(s) {extra}")
+def _kind_of(obj):
+    """The kind whose documents parse to ``obj``'s class, or None."""
+    return next((kind for kind, cls in _CLASSES.items() if isinstance(obj, cls)), None)
 
 
 def _parse_mixture(doc):
-    _require_fields(doc, ("schema_version", "kind", "family", "atoms"), "mixture")
-    body = {k: v for k, v in doc.items() if k not in ("schema_version", "kind")}
+    body = {k: v for k, v in doc.items() if k not in _ENVELOPE}
     return model_from_dict(body, context="mixture")
 
 
 def _parse_hmm(doc):
-    _require_fields(doc, ("schema_version", "kind", "family", "initial", "transition", "emissions"), "hmm")
+    _require_fields(doc, (*_ENVELOPE, "family", "initial", "transition", "emissions"), "hmm")
     family = doc["family"]
     emissions = doc["emissions"]
     if not isinstance(emissions, list) or not emissions:
@@ -64,42 +65,14 @@ def _parse_hmm(doc):
         raise SpecDocumentError(f"hmm: {exc}") from exc
 
 
-def _parse_prior(doc):
-    fields = (
-        "schema_version",
-        "kind",
-        "dirichlet_weights",
-        "normal_mean_loc",
-        "normal_mean_scale",
-        "ig_shape",
-        "ig_scale",
-    )
-    _require_fields(doc, fields, "prior")
+def _parse_flat(doc, kind):
+    """The object of a flat kind, built from the document's fields (the class
+    stores a list field as a tuple)."""
+    names = [f.name for f in dataclasses.fields(_CLASSES[kind])]
+    _require_fields(doc, (*_ENVELOPE, *names), kind)
     try:
-        return ConjugatePrior(
-            dirichlet_weights=tuple(doc["dirichlet_weights"]),
-            normal_mean_loc=doc["normal_mean_loc"],
-            normal_mean_scale=doc["normal_mean_scale"],
-            ig_shape=doc["ig_shape"],
-            ig_scale=doc["ig_scale"],
-        )
+        return _CLASSES[kind](**{k: doc[k] for k in names})
     except (MixtureError, TypeError) as exc:
-        raise SpecDocumentError(f"prior: {exc}") from exc
-
-
-def _parse_compound(doc, kind):
-    try:
-        if kind == "beta_binomial":
-            _require_fields(doc, ("schema_version", "kind", "trials", "alpha", "beta"), kind)
-            return BetaBinomialParams(trials=doc["trials"], alpha=doc["alpha"], beta=doc["beta"])
-        if kind == "negative_binomial":
-            _require_fields(doc, ("schema_version", "kind", "alpha", "beta"), kind)
-            return NegativeBinomialParams(alpha=doc["alpha"], beta=doc["beta"])
-        _require_fields(doc, ("schema_version", "kind", "trials", "concentration"), kind)
-        return DirichletMultinomialParams(
-            trials=doc["trials"], concentration=tuple(doc["concentration"])
-        )
-    except (DomainError, TypeError) as exc:
         raise SpecDocumentError(f"{kind}: {exc}") from exc
 
 
@@ -121,9 +94,7 @@ def parse_document(text):
         return _parse_mixture(doc)
     if kind == "hmm":
         return _parse_hmm(doc)
-    if kind == "prior":
-        return _parse_prior(doc)
-    return _parse_compound(doc, kind)
+    return _parse_flat(doc, kind)
 
 
 def load_document(path):
@@ -137,50 +108,21 @@ def load_document(path):
 
 def document_for(obj):
     """The JSON-ready dict a given domain object serializes to."""
-    if isinstance(obj, MixtureModel):
-        return {"schema_version": SCHEMA_VERSION, "kind": "mixture", **model_to_dict(obj)}
-    if isinstance(obj, HMMSpec):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "hmm",
+    kind = _kind_of(obj)
+    if kind is None:
+        raise DomainError(f"cannot serialize {type(obj).__name__}")
+    if kind == "mixture":
+        body = model_to_dict(obj)
+    elif kind == "hmm":
+        body = {
             "family": obj.family,
             "initial": list(obj.initial),
             "transition": [list(r) for r in obj.xi],
             "emissions": [c.params_dict() for c in obj.components],
         }
-    if isinstance(obj, ConjugatePrior):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "prior",
-            "dirichlet_weights": list(obj.dirichlet_weights),
-            "normal_mean_loc": obj.normal_mean_loc,
-            "normal_mean_scale": obj.normal_mean_scale,
-            "ig_shape": obj.ig_shape,
-            "ig_scale": obj.ig_scale,
-        }
-    if isinstance(obj, BetaBinomialParams):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "beta_binomial",
-            "trials": obj.trials,
-            "alpha": obj.alpha,
-            "beta": obj.beta,
-        }
-    if isinstance(obj, NegativeBinomialParams):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "negative_binomial",
-            "alpha": obj.alpha,
-            "beta": obj.beta,
-        }
-    if isinstance(obj, DirichletMultinomialParams):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "dirichlet_multinomial",
-            "trials": obj.trials,
-            "concentration": list(obj.concentration),
-        }
-    raise DomainError(f"cannot serialize {type(obj).__name__}")
+    else:
+        body = _fields_dict(obj)
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **body}
 
 
 def dump_document(obj):
