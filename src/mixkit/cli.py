@@ -42,7 +42,7 @@ from .bayes import (
     run_gibbs,
     summarize_H,
 )
-from .components import FAMILIES, _require_univariate_normal
+from .components import _MAX_TABLE_ROWS, FAMILIES, _require_univariate_normal
 from .compound import (
     BetaBinomialParams,
     NegativeBinomialParams,
@@ -62,6 +62,7 @@ from .errors import (
     InvalidMeasureError,
     SpecDocumentError,
     _require_count,
+    _require_finite,
 )
 from .models import _logsumexp, _measure_params, log_weighted_densities
 from .modelspec import _kind_of, document_for, load_document
@@ -145,6 +146,7 @@ def _parse_grid(text):
         lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError(f"cannot parse grid {text!r}")
+    lo, hi = _require_finite("grid lo", lo), _require_finite("grid hi", hi)
     if not hi > lo:
         raise DomainError("grid needs hi > lo")
     return lo, hi, _require_count("grid points", points, 2)
@@ -287,7 +289,7 @@ def _cmd_fit(args):
     seed = _resolve_seed(args)
     data = _read_data(args.data)
     G = args.G
-    family = "bivariate_normal" if data.ndim == 2 else args.family
+    family = args.family or ("bivariate_normal" if data.ndim == 2 else "normal")
 
     if args.method in ("em", "hard-em"):
         config = EMConfig(
@@ -410,7 +412,7 @@ def _cmd_compound(args):
     else:
         k = len(params.concentration)
         n_cells = math.comb(params.trials + k - 1, k - 1)
-        if n_cells > 200_000:
+        if n_cells > _MAX_TABLE_ROWS:
             raise DomainError(f"{n_cells} count vectors is too many to tabulate")
         cells = list(_compositions(params.trials, k))
         pmf = [dirmult_pmf(params, c) for c in cells]
@@ -478,7 +480,8 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--G", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--family", choices=("normal", "poisson"), default="normal")
+    p.add_argument("--family", choices=("normal", "poisson"), default=None,
+                   help="component family (default: bivariate_normal for two-column data, else normal)")
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--restarts", type=int, default=1)

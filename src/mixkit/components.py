@@ -25,6 +25,8 @@ from .errors import DomainError, SpecDocumentError, _require_fields, _require_fi
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 # the default search interval pads the Normal means by this many largest sds
 DEFAULT_PADDING_SD = 8.0
+# the most rows a count table (a Poisson pmf, a compound pmf) may have
+_MAX_TABLE_ROWS = 200_000
 
 
 def _logs(values):
@@ -292,15 +294,18 @@ class Poisson(_Component):
 
     @staticmethod
     def _table_points(lam, grid):
-        """Counts of a pmf table: those in [lo, hi] of ``grid``, or 0 to 20 sd above the top rate."""
+        """Counts of a pmf table: those in [lo, hi] of ``grid``, or 0 to 20 sd above
+        the top rate; DomainError for more than _MAX_TABLE_ROWS of them."""
         if grid is None:
             top = float(lam.max())
-            return np.arange(0, int(math.ceil(top + 20.0 * math.sqrt(top))) + 1)
-        lo, hi, _ = grid
-        ys = np.arange(max(0, int(math.ceil(lo))), int(math.floor(hi)) + 1)
-        if ys.size == 0:
+            lo, hi = 0, int(math.ceil(top + 20.0 * math.sqrt(top)))
+        else:
+            lo, hi = max(0, int(math.ceil(grid[0]))), int(math.floor(grid[1]))
+        if hi < lo:
             raise DomainError("grid covers no non-negative integers")
-        return ys
+        if hi - lo + 1 > _MAX_TABLE_ROWS:
+            raise DomainError(f"{hi - lo + 1} counts is too many to tabulate")
+        return np.arange(lo, hi + 1)
 
     def sample(self, rng, n):
         return rng.poisson(self.lam, size=n)

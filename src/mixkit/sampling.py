@@ -20,17 +20,6 @@ from .errors import DomainError, InvalidMeasureError, _as_real, _require_count, 
 from .errors import _require_positive, _rng
 from .models import WEIGHT_SUM_TOL
 
-__all__ = [
-    "LabeledSample",
-    "HMMSpec",
-    "InverseGamma",
-    "Exponential",
-    "sample_mixture",
-    "sample_hmm",
-    "sample_scale_mixture",
-    "sample_monotone_density",
-]
-
 
 def _categorical(rng, weights, n):
     """Inverse-cdf categorical draw; returns 0-based indices."""

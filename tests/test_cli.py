@@ -583,3 +583,47 @@ def test_a_negative_y_max_names_the_flag(tmp_path, capsys):
     assert main(["compound", "--spec", str(spec), "--y-max", "-1", "--out", str(out)]) == EXIT_USAGE
     assert "--y-max" in capsys.readouterr().err
     assert not out.exists()
+
+
+def two_column_data(tmp_path):
+    data = tmp_path / "y1y2.csv"
+    ys = np.random.default_rng(1).normal(size=(30, 2)).round() + 3.0
+    data.write_text("y1,y2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in ys), encoding="utf-8")
+    return data
+
+
+def test_fit_without_a_family_fits_two_column_data_as_bivariate(tmp_path):
+    out = tmp_path / "fit.json"
+    argv = ["fit", "--method", "em", "--data", str(two_column_data(tmp_path)), "--G", "1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads(out.read_text())["measure"]["family"] == "bivariate_normal"
+
+
+@pytest.mark.parametrize("method", ["em", "hard-em"])
+@pytest.mark.parametrize("family", ["normal", "poisson"])
+def test_fit_rejects_a_named_univariate_family_on_two_column_data(tmp_path, capsys, method, family):
+    data = two_column_data(tmp_path)
+    out = tmp_path / "run" / "fit.json"
+    out.parent.mkdir()
+    argv = ["fit", "--method", method, "--family", family, "--data", str(data), "--G", "1", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "must be one-dimensional" in capsys.readouterr().err
+    assert os.listdir(out.parent) == []
+
+
+@pytest.mark.parametrize("grid, lam, named", [
+    ("-inf:5:10", 4.0, "grid lo"),
+    ("0:1e400:10", 4.0, "grid hi"),
+    ("0:nan:10", 4.0, "grid hi"),
+    ("0:1e300:10", 4.0, "too many to tabulate"),
+    (None, 1e300, "too many to tabulate"),
+])
+def test_a_density_grid_has_finite_ends_and_a_pmf_table_stays_bounded(tmp_path, capsys, grid, lam, named):
+    spec = tmp_path / "pois.json"
+    spec.write_text(json.dumps({**POIS_SPEC, "atoms": [{"weight": 1.0, "lam": lam}]}), encoding="utf-8")
+    out = tmp_path / "run" / "pmf.csv"
+    out.parent.mkdir()
+    argv = ["density", "--spec", str(spec), "--out", str(out)] + ([f"--grid={grid}"] if grid else [])
+    assert main(argv) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert os.listdir(out.parent) == []

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import mixkit as mk
-from mixkit.modelspec import document_for, dump_document, load_document, parse_document
+from mixkit.modelspec import KINDS, document_for, dump_document, load_document, parse_document
 
 MIXTURE_DOC = """
 {
@@ -147,3 +147,44 @@ def test_document_for_carries_kind_and_version(two_poisson):
     assert doc["kind"] == "negative_binomial"
     with pytest.raises(mk.DomainError):
         document_for("not a model")
+
+
+# one valid document of every kind; each case below edits one of them
+VALID = {
+    "mixture": json.loads(MIXTURE_DOC),
+    "hmm": json.loads(HMM_DOC),
+    "prior": {"schema_version": 1, "kind": "prior", "dirichlet_weights": [1.0, 1.0], "normal_mean_loc": 0.0,
+              "normal_mean_scale": 5.0, "ig_shape": 2.0, "ig_scale": 1.0},
+    "beta_binomial": {"schema_version": 1, "kind": "beta_binomial", "trials": 10, "alpha": 6.0, "beta": 14.0},
+    "negative_binomial": {"schema_version": 1, "kind": "negative_binomial", "alpha": 3.0, "beta": 2.0},
+    "dirichlet_multinomial": {"schema_version": 1, "kind": "dirichlet_multinomial", "trials": 4,
+                              "concentration": [2.0, 3.0]},
+}
+FIELDS = [(kind, field) for kind in KINDS for field in VALID[kind] if field not in ("schema_version", "kind")]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_has_a_valid_document_that_round_trips(kind):
+    obj = parse_document(json.dumps(VALID[kind]))
+    assert document_for(obj)["kind"] == kind
+    assert parse_document(dump_document(obj)) == obj
+
+
+@pytest.mark.parametrize("kind, field", FIELDS)
+def test_a_missing_field_is_named_with_its_kind(kind, field):
+    doc = {k: v for k, v in VALID[kind].items() if k != field}
+    with pytest.raises(mk.SpecDocumentError, match=rf"^{kind}: missing field\(s\) \['{field}'\]$"):
+        parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_unknown_field_is_named_with_its_kind(kind):
+    with pytest.raises(mk.SpecDocumentError, match=rf"^{kind}: unknown field\(s\) \['colour'\]$"):
+        parse_document(json.dumps({**VALID[kind], "colour": "red"}))
+
+
+@pytest.mark.parametrize("emission", [5.0, [0.0, 1.0], None])
+def test_an_hmm_emission_that_is_no_mapping_is_named(emission):
+    doc = {**VALID["hmm"], "emissions": [{"mu": 0.0, "sigma": 1.0}, emission]}
+    with pytest.raises(mk.SpecDocumentError, match=r"^hmm: emission 1: expected a mapping$"):
+        parse_document(json.dumps(doc))
