@@ -413,7 +413,7 @@ def _cmd_compound(args):
         k = len(params.concentration)
         n_cells = math.comb(params.trials + k - 1, k - 1)
         if n_cells > _MAX_TABLE_ROWS:
-            raise DomainError(f"{n_cells} count vectors is too many to tabulate")
+            raise DomainError(f"more than {_MAX_TABLE_ROWS} count vectors is too many to tabulate")
         cells = list(_compositions(params.trials, k))
         pmf = [dirmult_pmf(params, c) for c in cells]
         header = [f"y{j + 1}" for j in range(k)] + ["pmf"]

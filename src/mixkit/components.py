@@ -304,7 +304,7 @@ class Poisson(_Component):
         if hi < lo:
             raise DomainError("grid covers no non-negative integers")
         if hi - lo + 1 > _MAX_TABLE_ROWS:
-            raise DomainError(f"{hi - lo + 1} counts is too many to tabulate")
+            raise DomainError(f"{hi - lo + 1:.6g} counts is too many to tabulate")
         return np.arange(lo, hi + 1)
 
     def sample(self, rng, n):

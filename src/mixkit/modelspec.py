@@ -61,7 +61,7 @@ def _parse_hmm(doc):
     ]
     try:
         return HMMSpec(initial=doc["initial"], xi=doc["transition"], components=tuple(comps))
-    except MixtureError as exc:
+    except (MixtureError, TypeError) as exc:
         raise SpecDocumentError(f"hmm: {exc}") from exc
 
 

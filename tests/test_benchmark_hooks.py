@@ -28,7 +28,8 @@ def test_the_tracer_wraps_every_target_and_restores_it():
 
 
 def test_the_import_log_names_the_cli_and_scipy_special():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import mixkit.cli"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-500:]

@@ -627,3 +627,15 @@ def test_a_density_grid_has_finite_ends_and_a_pmf_table_stays_bounded(tmp_path, 
     assert main(argv) == EXIT_USAGE
     assert named in capsys.readouterr().err
     assert os.listdir(out.parent) == []
+
+
+@pytest.mark.parametrize("trials, parts", [(700, 3), (10**12, 2000)])
+def test_a_dirichlet_multinomial_table_stays_bounded(tmp_path, capsys, trials, parts):
+    spec = tmp_path / "dm.json"
+    spec.write_text(json.dumps({"schema_version": 1, "kind": "dirichlet_multinomial", "trials": trials,
+                                "concentration": [1.0] * parts}), encoding="utf-8")
+    out = tmp_path / "run" / "dm.csv"
+    out.parent.mkdir()
+    assert main(["compound", "--spec", str(spec), "--out", str(out)]) == EXIT_USAGE
+    assert "more than 200000 count vectors" in capsys.readouterr().err
+    assert os.listdir(out.parent) == []
