@@ -274,15 +274,16 @@ def _gibbs_outputs(sample, grid):
     return report, "\n".join(chain_lines) + "\n", pred_columns
 
 
-def _warn_em(state):
-    """One stderr line for a soft-EM fit that did not converge or re-seeded components."""
+def _warn_em(method, state):
+    """One stderr line, naming the method, for an EM or hard-EM fit that did not
+    converge or re-seeded components."""
     notes = []
     if not state.converged:
         notes.append(f"did not converge in {state.iteration} iterations")
     if state.reseeds:
         events = ", ".join(f"component {g} at iteration {it}" for it, g in state.reseeds)
         notes.append(f"re-seeded {events}")
-    print(f"mixkit: warning: em {'; '.join(notes)}", file=sys.stderr)
+    print(f"mixkit: warning: {method} {'; '.join(notes)}", file=sys.stderr)
 
 
 def _cmd_fit(args):
@@ -301,8 +302,8 @@ def _cmd_fit(args):
         )
         runner = run_em if args.method == "em" else run_hard_em
         state = runner(data, G, family, config)
-        if args.method == "em" and (not state.converged or state.reseeds):
-            _warn_em(state)
+        if not state.converged or state.reseeds:
+            _warn_em(args.method, state)
         report = fit_report(state, config)
         report["method"] = args.method
         report["n_observations"] = len(data)

@@ -247,6 +247,20 @@ def test_fit_em_reports_convergence_and_reseeds(tmp_path, spec_file, capsys):
                            "method", "n_observations"}
 
 
+def test_fit_hard_em_warns_when_it_does_not_converge(tmp_path, spec_file, capsys):
+    sim = str(tmp_path / "sim.csv")
+    main(["simulate", "--spec", spec_file, "--n", "300", "--seed", "7", "--out", sim])
+    capsys.readouterr()
+    out = str(tmp_path / "fit.json")
+    assert main(["fit", "--method", "hard-em", "--data", sim, "--G", "2", "--seed", "5", "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert json.loads(open(out).read())["converged"] is True
+    assert main(["fit", "--method", "hard-em", "--data", sim, "--G", "2", "--seed", "5", "--max-iter", "1",
+                 "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == ["mixkit: warning: hard-em did not converge in 1 iterations"]
+    assert json.loads(open(out).read())["converged"] is False
+
+
 def test_select_g_reports_effective_sample_size(tmp_path, spec_file, capsys):
     sim = str(tmp_path / "sim.csv")
     main(["simulate", "--spec", spec_file, "--n", "150", "--seed", "7", "--out", sim])

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixkit as mk
 import mixkit.em
@@ -309,3 +312,304 @@ def test_traces_equal_those_of_a_per_point_fsum(family, request, monkeypatch):
         trace = fit(data, 2, family, config).loglik_trace
         assert [v.hex() for v in trace] == want
         assert len(calls) >= len(trace)  # every entry went through the patched sum
+
+
+# ---------------------------------------------------------------------------
+# The batched restarts against the loop that ran them one after another.
+
+
+def _sequential_em_run(data, G, family, config, rng, floor, terms):
+    """One soft-EM restart on its own: the loop run_em ran per restart before
+    the restarts shared a batch, kept as the oracle of their bits."""
+    em = mixkit.em
+    weights, params = em._initial_params(data, G, family, config, rng, floor)
+    L = em._component_log_densities(family, params, data, terms) + em._logs(weights)
+    r, norm = em._responsibilities(L)
+    ll = em._exact_sum(norm)
+    trace = [ll]
+    reseeds = []
+    converged = False
+    for _ in range(config.max_iter):
+        weights, params, empty = em._m_step_arrays(data, r, family, floor)
+        if empty.size:
+            if config.restarts == 0:
+                raise mk.EmptyComponentError(
+                    int(empty[0]) + 1,
+                    f"component {int(empty[0]) + 1} emptied at iteration {len(trace)}",
+                )
+            reseeds += [(len(trace), int(g) + 1) for g in empty]
+            weights = em._reseed_empty(weights, params, empty, data, family, floor, rng)
+        else:
+            weights = weights / weights.sum()
+        L = em._component_log_densities(family, params, data, terms) + em._logs(weights)
+        r, norm = em._responsibilities(L)
+        ll_new = em._exact_sum(norm)
+        trace.append(ll_new)
+        if abs(ll_new - ll) / (1.0 + abs(ll_new)) < config.tol:
+            converged = True
+            break
+        ll = ll_new
+    return mk.EMState(
+        model=mk.MixtureModel(em._measure_from_params(family, weights, params)),
+        responsibilities=r,
+        loglik_trace=tuple(trace),
+        iteration=len(trace) - 1,
+        converged=converged,
+        reseeds=tuple(reseeds),
+    )
+
+
+def _one_hot(z, G):
+    onehot = np.zeros((len(z), G), order="F")
+    onehot[np.arange(len(z)), z - 1] = 1.0
+    return onehot
+
+
+def _hard_step(L):
+    idx = mixkit.em._atom_argmax(L)
+    return idx + 1, mixkit.em._exact_sum(L[np.arange(len(L)), idx])
+
+
+def _sequential_hard_em_run(data, G, family, config, rng, floor, terms):
+    """One hard-EM restart on its own (see _sequential_em_run)."""
+    em = mixkit.em
+    weights, params = em._initial_params(data, G, family, config, rng, floor)
+    z, ll = _hard_step(em._component_log_densities(family, params, data, terms))
+    trace = [ll]
+    converged = False
+    for _ in range(config.max_iter):
+        weights, params, empty = em._m_step_arrays(data, _one_hot(z, G), family, floor)
+        if empty.size:
+            raise mk.EmptyComponentError(
+                int(empty[0]) + 1,
+                f"group {int(empty[0]) + 1} emptied after reallocation",
+            )
+        weights = weights / weights.sum()
+        z_new, ll = _hard_step(em._component_log_densities(family, params, data, terms))
+        trace.append(ll)
+        converged = np.array_equal(z_new, z)
+        z = z_new
+        if converged:
+            break
+    return mk.EMState(
+        model=mk.MixtureModel(em._measure_from_params(family, weights, params)),
+        responsibilities=_one_hot(z, G),
+        loglik_trace=tuple(trace),
+        iteration=len(trace) - 1,
+        converged=converged,
+    )
+
+
+def _each_restart(run, data, G, family, config):
+    """Every restart run alone, one after another: its state, or the MixtureError it raised."""
+    arr = mk.validate_observations(family, data)
+    floor = mixkit.em.resolve_variance_floor(arr, family, config)
+    terms = mixkit.em.FAMILIES[family]._observation_terms(arr)
+    out = []
+    for child in np.random.SeedSequence(config.seed).spawn(max(config.restarts, 1)):
+        try:
+            out.append(run(arr, G, family, config, np.random.default_rng(child), floor, terms))
+        except mk.MixtureError as exc:
+            out.append(exc)
+    return out
+
+
+def _sequential_restarts(run, data, G, family, config):
+    """Every restart's state, as the sequential loop ran them: the first failure raises."""
+    states = _each_restart(run, data, G, family, config)
+    for state in states:
+        if isinstance(state, Exception):
+            raise state
+    return states
+
+
+def _batched_restarts(fit, data, G, family, config):
+    """``fit``'s result and every restart's state, in run order, as the batches returned them."""
+    states = []
+    batch = mixkit.em._restart_batch
+
+    def recording(*args):
+        out = batch(*args)
+        states.extend(out)
+        return out
+
+    with mock.patch.object(mixkit.em, "_restart_batch", recording):
+        return fit(data, G, family, config), states
+
+
+def _bits(state):
+    """Everything a run returns, as bytes and exact values."""
+    return (
+        [v.hex() for v in state.loglik_trace],
+        state.model.measure.weights.tobytes(),
+        [p.tobytes() for p in mixkit.em._measure_params(state.model.measure)],
+        state.responsibilities.tobytes(),
+        state.responsibilities.shape,
+        state.iteration,
+        state.converged,
+        state.reseeds,
+    )
+
+
+def _outcome(call):
+    """The bits of every state ``call`` returns, or the type, text and label of what it raised."""
+    try:
+        result = call()
+    except mk.MixtureError as exc:
+        return type(exc), str(exc), getattr(exc, "component", None), getattr(exc, "index", None)
+    return [_bits(s) for s in result]
+
+
+_SEQUENTIAL = {mk.run_em: _sequential_em_run, mk.run_hard_em: _sequential_hard_em_run}
+
+
+def _assert_batched_equals_sequential(fit, data, G, family, config):
+    """Each restart, the kept best (strict >, so the lowest-numbered run wins a
+    tie) and any raised exception are those of the sequential loop."""
+    want = _outcome(lambda: _sequential_restarts(_SEQUENTIAL[fit], data, G, family, config))
+    got = _outcome(lambda: _batched_restarts(fit, data, G, family, config)[1])
+    assert got == want
+    if isinstance(want, list):
+        best = max(range(len(want)), key=lambda k: (float.fromhex(want[k][0][-1]), -k))
+        assert _bits(fit(data, G, family, config)) == want[best]
+
+
+def _start_measure(data, G, family):
+    """A valid G-atom start for ``family`` spread over the data."""
+    y = np.asarray(mk.validate_observations(family, data), dtype=float)
+    cls = mixkit.em.FAMILIES[family]
+    qs = np.quantile(y, (np.arange(G) + 0.5) / G, axis=0)
+    if family == "normal":
+        comps = [cls(float(q), float(y.std()) + 0.1) for q in qs]
+    elif family == "poisson":
+        comps = [cls(float(q) + 0.5) for q in qs]
+    else:
+        comps = [cls(tuple(map(float, q)), ((1.0, 0.0), (0.0, 1.0))) for q in qs]
+    return mk.MixingMeasure(tuple((1.0 / G, c) for c in comps))
+
+
+def _draw(family, n, seed):
+    rng = np.random.default_rng(seed)
+    shift = rng.random(n) < 0.4
+    if family == "normal":
+        return rng.normal(0.0, 1.0, n) + 2.5 * shift
+    if family == "poisson":
+        return rng.poisson(np.where(shift, 9.0, 3.0))
+    return rng.normal(0.0, 1.0, (n, 2)) + 3.0 * shift[:, None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["normal", "poisson", "bivariate_normal"]),
+    G=st.integers(1, 4),
+    restarts=st.integers(0, 5),
+    init=st.sampled_from(["k-points", "random-responsibilities", "measure"]),
+    tol=st.sampled_from([mk.EMConfig().tol, 1e-300]),
+    n=st.integers(4, 60),
+    data_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+    max_iter=st.integers(1, 40),
+)
+def test_batched_restarts_give_the_bits_of_each_run_alone(
+        family, G, restarts, init, tol, n, data_seed, seed, max_iter):
+    data = _draw(family, n, data_seed)
+    start = _start_measure(data, G, family) if init == "measure" else init
+    config = mk.EMConfig(init=start, tol=tol, restarts=restarts, seed=seed, max_iter=max_iter)
+    for fit in (mk.run_em, mk.run_hard_em):
+        _assert_batched_equals_sequential(fit, data, G, family, config)
+
+
+def test_batched_reseeds_give_the_bits_of_each_run_alone():
+    data = np.concatenate([np.linspace(-1.0, 1.0, 60), np.linspace(9.0, 11.0, 60)])
+    start = mk.MixingMeasure(
+        (
+            (0.4, mk.UnivariateNormal(0.0, 1.0)),
+            (0.4, mk.UnivariateNormal(10.0, 1.0)),
+            (0.2, mk.UnivariateNormal(1e6, 1.0)),
+        )
+    )
+    config = mk.EMConfig(init=start, restarts=3, seed=0)
+    _, states = _batched_restarts(mk.run_em, data, 3, "normal", config)
+    assert len(states) == 3 and all(s.reseeds and s.reseeds[0] == (1, 3) for s in states)
+    # the same start, then each run's own generator picks its reseed points
+    assert len({s.loglik_trace for s in states}) > 1
+    _assert_batched_equals_sequential(mk.run_em, data, 3, "normal", config)
+
+
+def test_the_lowest_numbered_failing_run_raises():
+    # hard EM from random responsibilities: runs 1 and 3 of 5 each empty a
+    # group at the first reallocation, group 2 and group 4
+    data, config = _draw("normal", 30, 1), mk.EMConfig(restarts=5, seed=0, init="random-responsibilities")
+    alone = _each_restart(_sequential_hard_em_run, data, 4, "normal", config)
+    failed = {k: exc.component for k, exc in enumerate(alone) if isinstance(exc, mk.EmptyComponentError)}
+    assert failed == {1: 2, 3: 4}
+    with pytest.raises(mk.EmptyComponentError) as exc:
+        mk.run_hard_em(data, 4, "normal", config)
+    assert (exc.value.component, str(exc.value)) == (2, "group 2 emptied after reallocation")
+    _assert_batched_equals_sequential(mk.run_hard_em, data, 4, "normal", config)
+    # alone in its batch, or batched with others, each run fails the same way
+    for batch_values in (1, 2 * 4 * len(data)):
+        with mock.patch.object(mixkit.em, "BATCH_VALUES", batch_values):
+            _assert_batched_equals_sequential(mk.run_hard_em, data, 4, "normal", config)
+
+
+@pytest.mark.parametrize("restarts", [0, 3])
+def test_a_point_of_zero_density_fails_as_it_does_alone(restarts):
+    # (1e160 - mu) / sigma squares to inf: the point has density 0 under every atom
+    data = np.concatenate([np.linspace(-1.0, 1.0, 20), [1e160], np.linspace(9.0, 11.0, 20)])
+    start = mk.MixingMeasure(((0.5, mk.UnivariateNormal(0.0, 1.0)), (0.5, mk.UnivariateNormal(10.0, 1.0))))
+    config = mk.EMConfig(init=start, restarts=restarts, variance_floor=1e-6)
+    with pytest.raises(mk.DegeneratePointError) as exc:
+        mk.run_em(data, 2, "normal", config)
+    assert exc.value.index == 20
+    _assert_batched_equals_sequential(mk.run_em, data, 2, "normal", config)
+
+
+@pytest.mark.parametrize("family", ["normal", "poisson", "bivariate_normal"])
+@pytest.mark.parametrize("fit", [mk.run_em, mk.run_hard_em])
+def test_one_kernel_call_per_iteration_serves_every_restart(family, fit, monkeypatch):
+    data = _draw(family, 300, 83)
+    cls = mixkit.em.FAMILIES[family]
+    kernel = cls._log_density_rows
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))  # atoms evaluated: the first parameter array has one entry each
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "_log_density_rows", staticmethod(counted))
+    config = mk.EMConfig(restarts=3, max_iter=15, tol=1e-300, seed=6)
+    state = fit(data, 2, family, config)
+    if fit is mk.run_em:
+        # the initial E-step and 15 iterations, every call for all three runs
+        assert state.iteration == 15 and calls == [3 * 2] * 16
+    else:
+        # runs leave as their allocations settle: one call per iteration of the longest
+        calls.clear()
+        _, states = _batched_restarts(fit, data, 2, family, config)
+        assert len(calls) == 1 + max(s.iteration for s in states) and calls[0] == 3 * 2
+
+
+@pytest.mark.parametrize("family", ["normal", "poisson", "bivariate_normal"])
+def test_batch_memory_limit_keeps_the_bits(family, request, monkeypatch):
+    # 5 restarts at G=2, n=200: 400 values a run, so 1 value runs each alone,
+    # 800 makes batches of 2, 2 and 1, and the default one batch
+    truth = request.getfixturevalue(FIXTURE_OF[family])
+    data = mk.sample_mixture(truth, 200, 89).data
+    configs = [mk.EMConfig(restarts=5, seed=8), mk.EMConfig(restarts=5, seed=8, max_iter=12, tol=1e-300)]
+    default = mixkit.em.BATCH_VALUES
+    assert default >= 5 * 2 * 200
+    results = []
+    for batch_values in (1, 800, default):
+        monkeypatch.setattr(mixkit.em, "BATCH_VALUES", batch_values)
+        sizes = []
+        batch = mixkit.em._restart_batch
+        monkeypatch.setattr(mixkit.em, "_restart_batch", lambda hard, arr, G, f, c, rngs, *rest:
+                            sizes.append(len(rngs)) or batch(hard, arr, G, f, c, rngs, *rest))
+        results.append([[_bits(s) for s in _batched_restarts(fit, data, 2, family, config)[1]]
+                        for fit in (mk.run_em, mk.run_hard_em) for config in configs])
+        monkeypatch.setattr(mixkit.em, "_restart_batch", batch)
+        assert sizes == {1: [1] * 5, 800: [2, 2, 1], default: [5]}[batch_values] * 4
+    assert results[0] == results[1] == results[2]
+    assert results[0] == [[_bits(s) for s in _sequential_restarts(_SEQUENTIAL[fit], data, 2, family, config)]
+                          for fit in (mk.run_em, mk.run_hard_em) for config in configs]
