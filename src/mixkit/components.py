@@ -121,8 +121,9 @@ class UnivariateNormal(_Component):
         """Weighted MLE from responsibility rows ``rT`` (G, n) with row ``totals``."""
         mus = (rT * y).sum(axis=1) / totals
         dev = y - mus[:, None]
-        vars_ = (rT * dev * dev).sum(axis=1) / totals
-        return mus, np.sqrt(np.maximum(vars_, floor))
+        terms = rT * dev
+        terms *= dev  # (rT * dev) * dev without a third (G, n) array
+        return mus, np.sqrt(np.maximum(terms.sum(axis=1) / totals, floor))
 
     @staticmethod
     def _at_points(points, y, floor):
