@@ -25,7 +25,8 @@ import numpy as np
 from .components import UnivariateNormal, _require_univariate_normal, validate_observations
 from .em import e_step
 from .errors import DegeneratePointError, DomainError
-from .errors import _require_count, _require_finite, _require_log_values, _require_positive, _require_seed
+from .errors import _require_count, _require_finite, _require_log_values, _require_positive
+from .errors import _require_probabilities, _require_seed
 from .errors import _rng
 from .models import (
     MixingMeasure,
@@ -468,9 +469,7 @@ def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
 
 def combine_log_marginals(log_marginals, prior_on_G):
     """Bayes' rule across model sizes in log space; DomainError if no size has mass."""
-    prior_on_G = np.asarray(prior_on_G, dtype=float)
-    if np.any(prior_on_G < 0.0) or abs(math.fsum(prior_on_G.tolist()) - 1.0) > 1e-12:
-        raise DomainError("prior_on_G must be a probability vector")
+    prior_on_G = _require_probabilities("prior_on_G", prior_on_G)
     log_marginals = _require_log_values("log_marginals", log_marginals)
     if len(log_marginals) != len(prior_on_G):
         raise DomainError("one marginal likelihood per model size is required")

@@ -272,13 +272,15 @@ class Poisson(_Component):
     @staticmethod
     def _log_density_rows(lam, y, log_fact=None, out=None):
         """log pmfs of the Poissons with rates ``lam`` at counts ``y``: shape
-        (G, *y.shape).  ``log_fact`` is log y!, when the caller has it; only
-        the last operation writes to ``out``, when given."""
+        (G, *y.shape).  ``log_fact`` is log y!, when the caller has it; all
+        three operations work in place on one array (``out``, when given)."""
         y = np.asarray(y, dtype=float)
         if log_fact is None:
             log_fact = Poisson._observation_terms(y)
-        terms = y * _atom_rows(_logs(lam), y.ndim) - _atom_rows(lam, y.ndim)
-        return np.subtract(terms, log_fact, out=out)
+        out = np.multiply(y, _atom_rows(_logs(lam), y.ndim), out=out)
+        out -= _atom_rows(lam, y.ndim)
+        out -= log_fact
+        return out
 
     def log_density(self, y):
         return self._log_density_rows(np.array([self.lam]), y)[0]

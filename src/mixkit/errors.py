@@ -10,7 +10,8 @@ below, once per call, and nowhere else:
 - a real is a number, never a str, bytes or bool, and finite
   (:func:`_require_finite`); a scale, shape, rate, concentration or
   tolerance is also greater than 0 (:func:`_require_positive`); an array of
-  log values may also hold -inf (:func:`_require_log_values`);
+  log values may also hold -inf (:func:`_require_log_values`); a probability
+  vector holds reals in [0, 1] that sum to 1 (:func:`_require_probabilities`);
 - a seed is what ``numpy.random.SeedSequence`` takes (:func:`_require_seed`);
   the functions that take a seed also take a Generator (:func:`_rng`).
 
@@ -127,6 +128,20 @@ def _require_log_values(name, values):
         if not _as_real(value) < math.inf:
             raise DomainError(f"{name} entries must be real numbers below +inf, not {value!r}")
     return np.array([_as_real(v) for v in values])
+
+
+def _require_probabilities(name, values):
+    """``values`` as a float array, or DomainError unless every entry is a
+    real number in [0, 1] and the entries sum to 1 within 1e-12."""
+    values = list(values)
+    for value in values:
+        if not 0.0 <= _as_real(value) <= 1.0:
+            raise DomainError(f"{name} entries must be real numbers in [0, 1], not {value!r}")
+    probabilities = np.array([_as_real(v) for v in values])
+    total = math.fsum(probabilities.tolist())
+    if abs(total - 1.0) > 1e-12:
+        raise DomainError(f"{name} must sum to 1, not {total!r}")
+    return probabilities
 
 
 def _require_fields(doc, fields, context):

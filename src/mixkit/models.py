@@ -15,8 +15,11 @@ callers use its wrapper :func:`_logsumexp`).
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,13 +304,26 @@ def _component_log_densities(family, params, arr, terms=None, out=None):
 
 
 # _stacked_log_densities evaluates at most this many values per block: 512 KiB
-# of float64.  With its shift and running-total rows a block's workspace is
-# (G + 2) / G times the block, at most 1.5 MiB (G=1): inside a 2 MiB L2.
-# Evidence for G=1..3 at n=1000 with 2000 draws, single-threaded, medians of
-# 25 interleaved rounds on a 2-vCPU x86-64 VM (the same bits at every size):
-# 16,384 values 188 ms, 32,768 157, 65,536 147, 131,072 147, 262,144 159,
-# 524,288 169.
+# of float64.  With its shift and running-total rows (one atom needs no shift
+# row) a block's workspace is at most 1 MiB per thread, inside the 4 MiB L2 of
+# each core of the VM below.  Evidence for G=1..3 at n=1000 with 2000 draws,
+# medians of 25 interleaved rounds on a 2-vCPU x86-64 VM, on one thread / two
+# (the same bits at every size and thread count): 16,384 values 84 / 101 ms,
+# 32,768 72 / 60, 65,536 67 / 45, 98,304 67 / 41, 131,072 69 / 40, 262,144
+# 78 / 47.  Each block's Python holds the GIL, so small blocks keep two threads
+# waiting on each other.  Two threads at this size raised the peak memory of the
+# benchmark's `select-g` op by 0.7-0.9 MB over one; at 98,304 by 2.0-2.1 MB.
 BLOCK_VALUES = 65_536
+
+# The threads a _stacked_log_densities call spreads its blocks over: one per
+# CPU this process may use, the calling thread included.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# Every thread of a call, the calling one included, has at least this many
+# blocks; a call with fewer stays on the calling thread.  Measured as above at
+# G=3, one thread / two: 2 blocks 0.73 / 0.90 ms, 4 blocks 1.45 / 1.44, 8
+# blocks 2.91 / 2.52, 16 blocks 5.92 / 4.65.
+_BLOCKS_PER_WORKER = 4
 
 
 def _stacked_log_densities(family, weights, params, arr, reduce, out):
@@ -316,22 +332,54 @@ def _stacked_log_densities(family, weights, params, arr, reduce, out):
     (S, G, ...)) at ``arr``; returns ``out``.  Column g*k + s of a block's
     component matrix is atom g of set s, so the atom slices of the (G, k, n)
     block are contiguous.  The matrix and its shift and running-total rows
-    share one workspace array, allocated once per call, and every block is
-    computed in place in it, so blocks after the first touch no fresh pages.
-    A row-wise ``reduce`` gives the same bits whatever BLOCK_VALUES is."""
+    share one workspace array per thread, allocated by the caller once per
+    call, and every block is computed in place in it, so blocks after a
+    thread's first touch no fresh pages.
+
+    The blocks are spread over up to WORKERS threads: the calling thread and
+    one ``threading.Thread`` per further worker, each taking the next block
+    until none is left, all joined before the call returns.  Each block
+    writes only its own slice of ``out`` and the block boundaries do not
+    depend on the thread count, so a row-wise ``reduce`` gives the same bits
+    whatever WORKERS and BLOCK_VALUES are.  An exception raised in a block
+    reaches the caller: that of the lowest failing block, the one a single
+    thread would have raised."""
     S, G = weights.shape
     n = len(arr)
     step = max(1, min(S, BLOCK_VALUES // max(G * n, 1)))
-    work = np.empty((G + 2, step, n))
-    matrix, shift, total = work[:G].reshape(G * step, n), work[G], work[G + 1]
-    for start in range(0, S, step):
-        w = weights[start : start + step]
-        k = len(w)
-        flat = [np.swapaxes(p[start : start + step], 0, 1).reshape(w.size, *p.shape[2:]) for p in params]
-        L = _component_log_densities(family, flat, arr, out=matrix[: G * k]).T
-        L += _logs(w.T.ravel())[:, None]
-        atoms = np.moveaxis(L.reshape(G, k, n), 0, -1)
-        reduce(_logsumexp_into(atoms, atoms, shift[:k], total[:k]), out[start : start + k])
+    starts = iter(range(0, S, step))
+    taking = threading.Lock()
+    failures = []
+
+    def run(work):
+        matrix, shift, total = work[:G].reshape(G * step, n), work[G], work[-1]
+        while not failures:
+            with taking:
+                start = next(starts, None)
+            if start is None:
+                return
+            try:
+                w = weights[start : start + step]
+                k = len(w)
+                flat = [np.swapaxes(p[start : start + step], 0, 1).reshape(w.size, *p.shape[2:]) for p in params]
+                L = _component_log_densities(family, flat, arr, out=matrix[: G * k]).T
+                L += _logs(w.T.ravel())[:, None]
+                atoms = np.moveaxis(L.reshape(G, k, n), 0, -1)
+                reduce(_logsumexp_into(atoms, atoms, shift[:k], total[:k]), out[start : start + k])
+            except BaseException as exc:
+                failures.append((start, exc))
+
+    workers = max(1, min(WORKERS, -(-S // step) // _BLOCKS_PER_WORKER))
+    # one atom's log-sum-exp needs no shift row (see _logsumexp_into)
+    works = [np.empty((G + min(G, 2), step, n)) for _ in range(workers)]
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, work)) for work in works[1:]]
+    for thread in threads:
+        thread.start()
+    run(works[0])
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return out
 
 

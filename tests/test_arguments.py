@@ -219,6 +219,12 @@ LOG_VALUES = {
     "combine_log_marginals": {"log_marginals": lambda v: mk.combine_log_marginals([v, 0.0], (0.5, 0.5))},
 }
 
+# entry point -> {argument: call with one entry of a probability vector whose other entry is 0.5}
+PROBABILITIES = {
+    "combine_log_marginals": {"prior_on_G": lambda v: mk.combine_log_marginals([0.0, -1.0], [v, 0.5])},
+    "posterior_over_G": {"prior_on_G": lambda v: mk.posterior_over_G(Y, (1, 2), builder, [v, 0.5], EVIDENCE)},
+}
+
 # entry point -> call with the seed, giving its draws; configs store seeds and take no Generator
 SEEDED = {
     "sample_mixture": lambda s: dataclasses.astuple(mk.sample_mixture(MODEL, 3, s))[:2],
@@ -279,6 +285,7 @@ BAD_OBSERVED_COUNTS = [2.5, math.nan, math.inf, -math.inf, -1, True, "2"]
 BAD_REALS = [math.nan, math.inf, -math.inf, "1", True]
 BAD_POSITIVE_REALS = [0.0, -1.0] + BAD_REALS
 BAD_LOG_VALUES = [math.nan, math.inf, "1", b"1", True]
+BAD_PROBABILITIES = ["0.5", b"0.5", True, math.nan, math.inf, -math.inf, -0.5, 1.5]
 BAD_SEEDS = [1.5, -1, "7", [1, -2]]
 
 
@@ -350,6 +357,23 @@ def test_a_log_value_may_be_minus_inf(call, name):
     assert plain(call(-math.inf)) == plain(call(np.float64(-math.inf))) == plain(np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("call, name, value", cases(PROBABILITIES, lambda call: BAD_PROBABILITIES))
+def test_a_probability_that_is_no_real_in_the_unit_interval_raises(call, name, value):
+    # the message names the argument and the entry, never "the log normalizer is nan"
+    raises_naming(mk.DomainError, name, call, value)
+    raises_naming(mk.DomainError, repr(value), call, value)
+
+
+@pytest.mark.parametrize("call, name", rows(PROBABILITIES))
+def test_a_probability_may_be_a_numpy_float(call, name):
+    assert plain(call(np.float64(0.5))) == plain(call(0.5))
+
+
+@pytest.mark.parametrize("prior_on_G", [[True, False], [np.True_, np.False_], ["0.5", "0.5"], [b"1", 0.0]])
+def test_prior_on_G_entries_that_only_convert_to_probabilities_raise(prior_on_G):
+    raises_naming(mk.DomainError, "prior_on_G", lambda v: mk.combine_log_marginals([0.0, -1.0], v), prior_on_G)
+
+
 def seed_id(seed):
     """A case id that stays the same from run to run: a Generator's repr holds its address."""
     return "Generator" if isinstance(seed, np.random.Generator) else repr(seed)
@@ -388,7 +412,8 @@ def test_param_region_bounds_are_never_nan(bound):
 
 def test_every_public_callable_is_tabled_or_exempt():
     public = {name for name in mk.__all__ if callable(getattr(mk, name))}
-    tabled = set(COUNTS) | set(OBSERVED_COUNTS) | set(REALS) | set(LOG_VALUES) | set(SEEDED) | set(SEEDED_CONFIGS)
+    tabled = (set(COUNTS) | set(OBSERVED_COUNTS) | set(REALS) | set(LOG_VALUES) | set(PROBABILITIES) | set(SEEDED)
+              | set(SEEDED_CONFIGS))
     assert sorted(public - tabled - set(EXEMPT)) == []
     assert sorted(tabled & set(EXEMPT)) == []
     assert sorted((tabled | set(EXEMPT)) - public) == []

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -485,6 +486,151 @@ def test_stacked_workspace_gives_the_same_bits_for_every_block_size(G, monkeypat
         assert lls.tobytes() == results[0][0].tobytes()
         assert densities.tobytes() == results[0][1].tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, (data, *draws)))
+
+
+def _block_threads(monkeypatch, workers=1):
+    """The identities of the threads that reduce a block, gathered by wrapping
+    the kernel's log-sum-exp, which every block calls once.  Each thread's
+    first block waits until ``workers`` threads have one, so every thread
+    the call starts takes a block (or the wait times out)."""
+    seen = set()
+    arrived = threading.Barrier(workers, timeout=30)
+    lse = getattr(mk.models._logsumexp_into, "__wrapped__", mk.models._logsumexp_into)
+
+    def recording(*args):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            arrived.wait()
+        return lse(*args)
+
+    recording.__wrapped__ = lse
+    monkeypatch.setattr(mk.models, "_logsumexp_into", recording)
+    return seen
+
+
+@pytest.mark.parametrize("G", [1, 3])
+def test_stacked_blocks_give_the_same_bits_on_every_worker_count(G, monkeypatch):
+    # every worker takes blocks, however few (_BLOCKS_PER_WORKER at 1)
+    data = mk.validate_observations("normal", np.random.default_rng(90 + G).normal(0.0, 2.0, 300))
+    draws = _prior_parameter_draws(mk.default_prior(data, G), np.random.default_rng(95), 500)
+    monkeypatch.setattr(mk.models, "_BLOCKS_PER_WORKER", 1)
+    want = None
+    for block_values, workers in itertools.product((1, 10_000, mk.models.BLOCK_VALUES), (1, 2, 3)):
+        monkeypatch.setattr(mk.models, "BLOCK_VALUES", block_values)
+        monkeypatch.setattr(mk.models, "WORKERS", workers)
+        seen = _block_threads(monkeypatch, workers)
+        before = threading.active_count()
+        got = [a.tobytes() for a in _stacked_reduces(data, draws)]
+        assert threading.active_count() == before
+        assert len(seen) == workers
+        assert want is None or got == want, (block_values, workers)
+        want = got
+
+
+def test_every_block_is_taken_once_by_more_threads_than_cpus(monkeypatch):
+    # the threads share the next-block counter: a block taken twice or never
+    # shows in the starts the reduce sees
+    data = mk.validate_observations("normal", np.random.default_rng(7).normal(0.0, 2.0, 50))
+    etas, mus, sigmas = _prior_parameter_draws(mk.default_prior(data, 2), np.random.default_rng(8), 600)
+    monkeypatch.setattr(mk.models, "WORKERS", 1)
+    want = _loglik_of_draws(data, etas, mus, sigmas)
+    out = np.empty(len(etas))
+    starts = []
+
+    def reduce(rows, dst):
+        starts.append((dst.ctypes.data - out.ctypes.data) // out.itemsize)
+        rows.sum(axis=-1, out=dst)
+
+    monkeypatch.setattr(mk.models, "_BLOCKS_PER_WORKER", 1)
+    monkeypatch.setattr(mk.models, "WORKERS", 4 * os.cpu_count())
+    monkeypatch.setattr(mk.models, "BLOCK_VALUES", 3 * 2 * 50)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            starts.clear()
+            mk.models._stacked_log_densities("normal", etas, (mus, sigmas), data, reduce, out)
+            assert sorted(starts) == list(range(0, 600, 3))
+            assert out.tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failing_block_raises_the_error_a_single_thread_would(monkeypatch):
+    # blocks starting at draw 120 or later fail; whichever thread meets one
+    # first, the caller gets the failure of the lowest failing block, and no
+    # thread is left running
+    data = mk.validate_observations("normal", np.random.default_rng(7).normal(0.0, 2.0, 100))
+    etas, mus, sigmas = _prior_parameter_draws(mk.default_prior(data, 2), np.random.default_rng(8), 400)
+    out = np.empty(len(etas))
+
+    def reduce(rows, dst):
+        start = (dst.ctypes.data - out.ctypes.data) // out.itemsize
+        if start >= 120:
+            raise ArithmeticError(start)
+        rows.sum(axis=-1, out=dst)
+
+    monkeypatch.setattr(mk.models, "_BLOCKS_PER_WORKER", 1)
+    monkeypatch.setattr(mk.models, "WORKERS", 2)
+    for step in (1, 10, 100, 110):
+        monkeypatch.setattr(mk.models, "BLOCK_VALUES", step * 2 * 100)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as info:
+            mk.models._stacked_log_densities("normal", etas, (mus, sigmas), data, reduce, out)
+        assert info.value.args == (-(-120 // step) * step,)
+        assert threading.active_count() == before
+
+
+def test_an_error_in_a_further_thread_reaches_the_caller(monkeypatch):
+    data = mk.validate_observations("normal", np.random.default_rng(7).normal(0.0, 2.0, 100))
+    etas, mus, sigmas = _prior_parameter_draws(mk.default_prior(data, 2), np.random.default_rng(8), 400)
+
+    def reduce(rows, dst):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("in a further thread")
+        rows.sum(axis=-1, out=dst)
+
+    monkeypatch.setattr(mk.models, "_BLOCKS_PER_WORKER", 1)
+    monkeypatch.setattr(mk.models, "WORKERS", 2)
+    monkeypatch.setattr(mk.models, "BLOCK_VALUES", 200)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="in a further thread"):
+        mk.models._stacked_log_densities("normal", etas, (mus, sigmas), data, reduce, np.empty(len(etas)))
+    assert threading.active_count() == before
+
+
+def test_further_threads_run_under_the_callers_numpy_error_state(monkeypatch):
+    # numpy's error state is a context variable: a thread started bare would
+    # warn where the caller asked for an error
+    data = mk.validate_observations("normal", np.random.default_rng(7).normal(0.0, 2.0, 100))
+    etas, mus, sigmas = _prior_parameter_draws(mk.default_prior(data, 2), np.random.default_rng(8), 400)
+
+    def reduce(rows, dst):
+        rows.sum(axis=-1, out=dst)
+        if threading.current_thread() is not threading.main_thread():
+            np.exp(np.full(1, 1000.0))
+
+    monkeypatch.setattr(mk.models, "_BLOCKS_PER_WORKER", 1)
+    monkeypatch.setattr(mk.models, "WORKERS", 2)
+    monkeypatch.setattr(mk.models, "BLOCK_VALUES", 200)
+    seen = _block_threads(monkeypatch, 2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        mk.models._stacked_log_densities("normal", etas, (mus, sigmas), data, reduce, np.empty(len(etas)))
+    assert len(seen) == 2
+
+
+def test_a_call_of_few_blocks_stays_on_the_calling_thread(monkeypatch):
+    # the Gibbs predictive's handful of blocks: a further thread would cost
+    # more than it saves
+    data = mk.validate_observations("normal", np.random.default_rng(7).normal(0.0, 2.0, 100))
+    step = mk.models.BLOCK_VALUES // (2 * 100)
+    monkeypatch.setattr(mk.models, "WORKERS", 2)
+    least = 2 * mk.models._BLOCKS_PER_WORKER
+    for blocks, threads in ((1, 1), (least - 1, 1), (least, 2)):
+        draws = _prior_parameter_draws(mk.default_prior(data, 2), np.random.default_rng(8), blocks * step)
+        seen = _block_threads(monkeypatch, threads)
+        _loglik_of_draws(data, *draws)
+        assert len(seen) == threads
 
 
 # minor page faults of one _loglik_of_draws call at n=1000, with 1000 and then

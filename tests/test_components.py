@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,39 @@ def test_poisson_pmf_matches_direct_formula():
     for y in range(12):
         direct = math.exp(-4.0 + y * math.log(4.0) - math.lgamma(y + 1))
         assert float(c.density(y)) == pytest.approx(direct, rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=1, max_size=4),
+    st.lists(st.integers(min_value=0, max_value=10**6), max_size=6),
+)
+def test_poisson_rows_in_place_keep_the_bits_of_the_formula(lams, ys):
+    # y * log(lam) - lam - log y!, the operations in that order, bit for bit
+    lam, y = np.array(lams), np.array(ys, dtype=float)
+    log_fact = mk.Poisson._observation_terms(y)
+    want = y * _logs(lam)[:, None] - lam[:, None] - log_fact
+    assert mk.Poisson._log_density_rows(lam, y).tobytes() == want.tobytes()
+    out = np.empty((len(lam), len(y)))
+    assert mk.Poisson._log_density_rows(lam, y, log_fact, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+def test_poisson_rows_into_out_allocate_no_matrix():
+    # a batched EM iteration hands the rows a (G, n) workspace: writing only
+    # the last operation into it allocated two more (G, n) arrays per call
+    G, n = 3, 100_000
+    lam = np.array([0.5, 4.0, 30.0])
+    y = np.random.default_rng(6).poisson(4.0, n).astype(float)
+    log_fact = mk.Poisson._observation_terms(y)
+    out = np.empty((G, n))
+    tracemalloc.start()
+    try:
+        mk.Poisson._log_density_rows(lam, y, log_fact, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes
 
 
 def test_poisson_rejects_nonpositive_rate():
