@@ -460,13 +460,17 @@ def test_per_draw_loglik_does_not_depend_on_blocks(evidence_draws, monkeypatch):
     assert results[0] == results[1]
 
 
-def _stacked_reduces(data, draws):
-    """Both reduces of the stacked kernel on one set of draws: the evidence's
-    per-draw log-likelihoods and the predictive's densities at ``data``."""
+def _stacked_calls(data, draws):
+    """Both reduces of the stacked kernel on one set of draws, as calls: the
+    evidence's per-draw log-likelihoods and the predictive's densities at ``data``."""
     etas, mus, sigmas = draws
     measures = [mk.MixingMeasure(tuple(zip(w.tolist(), map(mk.UnivariateNormal, m, sd))))
                 for w, m, sd in zip(etas, mus, sigmas)]
-    return _loglik_of_draws(data, etas, mus, sigmas), _predictive_densities(measures, data)
+    return lambda: _loglik_of_draws(data, etas, mus, sigmas), lambda: _predictive_densities(measures, data)
+
+
+def _stacked_reduces(data, draws):
+    return tuple(call() for call in _stacked_calls(data, draws))
 
 
 @pytest.mark.parametrize("G", [1, 2, 3])
@@ -492,7 +496,8 @@ def _block_threads(monkeypatch, workers=1):
     """The identities of the threads that reduce a block, gathered by wrapping
     the kernel's log-sum-exp, which every block calls once.  Each thread's
     first block waits until ``workers`` threads have one, so every thread
-    the call starts takes a block (or the wait times out)."""
+    the call starts takes a block (or the wait times out).  One call per
+    wrapping: a later call's threads may reuse the identities seen."""
     seen = set()
     arrived = threading.Barrier(workers, timeout=30)
     lse = getattr(mk.models._logsumexp_into, "__wrapped__", mk.models._logsumexp_into)
@@ -514,15 +519,18 @@ def test_stacked_blocks_give_the_same_bits_on_every_worker_count(G, monkeypatch)
     data = mk.validate_observations("normal", np.random.default_rng(90 + G).normal(0.0, 2.0, 300))
     draws = _prior_parameter_draws(mk.default_prior(data, G), np.random.default_rng(95), 500)
     monkeypatch.setattr(mk.models, "_BLOCKS_PER_WORKER", 1)
+    calls = _stacked_calls(data, draws)
     want = None
     for block_values, workers in itertools.product((1, 10_000, mk.models.BLOCK_VALUES), (1, 2, 3)):
         monkeypatch.setattr(mk.models, "BLOCK_VALUES", block_values)
         monkeypatch.setattr(mk.models, "WORKERS", workers)
-        seen = _block_threads(monkeypatch, workers)
-        before = threading.active_count()
-        got = [a.tobytes() for a in _stacked_reduces(data, draws)]
-        assert threading.active_count() == before
-        assert len(seen) == workers
+        got = []
+        for call in calls:
+            seen = _block_threads(monkeypatch, workers)
+            before = threading.active_count()
+            got.append(call().tobytes())
+            assert threading.active_count() == before
+            assert len(seen) == workers
         assert want is None or got == want, (block_values, workers)
         want = got
 
@@ -593,6 +601,7 @@ def test_an_error_in_a_further_thread_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(mk.models, "_BLOCKS_PER_WORKER", 1)
     monkeypatch.setattr(mk.models, "WORKERS", 2)
     monkeypatch.setattr(mk.models, "BLOCK_VALUES", 200)
+    _block_threads(monkeypatch, 2)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="in a further thread"):
         mk.models._stacked_log_densities("normal", etas, (mus, sigmas), data, reduce, np.empty(len(etas)))
