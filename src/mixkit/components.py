@@ -192,14 +192,25 @@ class BivariateNormal(_Component):
     def _log_density_rows(mean, cov, y, out=None):
         """log densities of the planar Normals with parameter arrays ``mean``
         (G, 2) and ``cov`` (G, 2, 2) at points ``y`` (..., 2): shape (G, ...).
-        Only the last operation writes to ``out``, when given."""
+        The quadratic form (d u u - 2b u v + a v v) / det is built in place on
+        one array (``out``, when given) with the offsets u and v as its only
+        scratch, in the order of that formula, so the bits are the formula's."""
         rows = lambda values: _atom_rows(values, y.ndim - 1)  # noqa: E731
         a, b, d = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
         det = a * d - b * b
         u = y[..., 0] - rows(mean[:, 0])
         v = y[..., 1] - rows(mean[:, 1])
-        quad = (rows(d) * u * u - rows(2.0 * b) * u * v + rows(a) * v * v) / rows(det)
-        return np.subtract(rows(-_LOG_TWO_PI - 0.5 * _logs(det)), 0.5 * quad, out=out)
+        out = np.multiply(rows(d), u, out=out)
+        out *= u
+        u *= rows(2.0 * b)
+        u *= v
+        out -= u
+        np.multiply(rows(a), v, out=u)
+        u *= v
+        out += u
+        out /= rows(det)
+        out *= 0.5
+        return np.subtract(rows(-_LOG_TWO_PI - 0.5 * _logs(det)), out, out=out)
 
     def log_density(self, y):
         y = np.asarray(y, dtype=float)

@@ -114,6 +114,50 @@ def test_bivariate_normal_matches_scipy():
     assert np.allclose(c.log_density(pts), ref, rtol=1e-12, atol=0)
 
 
+_PLANE = st.floats(min_value=-1e200, max_value=1e200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_PLANE, _PLANE, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(-0.99, 0.99)),
+             min_size=1, max_size=4),
+    st.lists(st.tuples(_PLANE, _PLANE), max_size=6),
+)
+def test_bivariate_rows_in_place_keep_the_bits_of_the_formula(atoms, points):
+    # (d u u - 2b u v + a v v) / det and log(2 pi) + log(det) / 2, evaluated
+    # as one expression, bit for bit, overflow included
+    mean = np.array([[m0, m1] for m0, m1, *_ in atoms])
+    cov = np.array([[[a, r * math.sqrt(a * d)], [r * math.sqrt(a * d), d]] for *_, a, d, r in atoms])
+    y = np.array(points, dtype=float).reshape(-1, 2)
+    a, b, d = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    det = a * d - b * b
+    with np.errstate(all="ignore"):
+        u, v = y[:, 0] - mean[:, :1], y[:, 1] - mean[:, 1:]
+        quad = (d[:, None] * u * u - (2.0 * b)[:, None] * u * v + a[:, None] * v * v) / det[:, None]
+        want = (-math.log(2.0 * math.pi) - 0.5 * _logs(det))[:, None] - 0.5 * quad
+        got = mk.BivariateNormal._log_density_rows(mean, cov, y)
+        out = np.empty((len(atoms), len(y)))
+        assert mk.BivariateNormal._log_density_rows(mean, cov, y, out=out) is out
+    assert got.tobytes() == want.tobytes() and out.tobytes() == want.tobytes()
+
+
+def test_bivariate_rows_into_out_keep_only_the_offsets_as_scratch():
+    # the offsets u and v are the rows' only (G, n) scratch; the whole
+    # expression held four such arrays at its peak
+    G, n = 3, 100_000
+    mean = np.array([[0.0, 0.0], [1.0, -1.0], [3.0, 2.0]])
+    cov = np.array([[[1.0, 0.3], [0.3, 2.0]], [[0.5, 0.0], [0.0, 0.5]], [[2.0, -0.4], [-0.4, 1.0]]])
+    y = np.random.default_rng(6).normal(0.0, 2.0, (n, 2))
+    out = np.empty((G, n))
+    tracemalloc.start()
+    try:
+        mk.BivariateNormal._log_density_rows(mean, cov, y, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * out.nbytes
+
+
 def test_bivariate_normal_rejects_bad_cov():
     with pytest.raises(mk.DomainError):
         mk.BivariateNormal((0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)))  # not pos. definite
