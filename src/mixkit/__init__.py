@@ -26,7 +26,6 @@ from .bayes import (
     combine_log_marginals,
     default_prior,
     evidence_over_G,
-    gibbs_allocations,
     gibbs_sweep,
     log_marginal_likelihood,
     posterior_over_G,
@@ -66,8 +65,6 @@ from .em import (
     EMState,
     e_step,
     fit_report,
-    hard_allocations,
-    m_step,
     run_em,
     run_hard_em,
 )
@@ -151,10 +148,8 @@ __all__ = [
     "EMConfig",
     "EMState",
     "e_step",
-    "m_step",
     "run_em",
     "run_hard_em",
-    "hard_allocations",
     "fit_report",
     # bayes
     "ConjugatePrior",
@@ -164,7 +159,6 @@ __all__ = [
     "default_prior",
     "prior_draw",
     "allocation_probabilities",
-    "gibbs_allocations",
     "gibbs_sweep",
     "run_gibbs",
     "ParamRegion",

@@ -38,7 +38,6 @@ from .models import (
     _measure_from_params,
     _measure_params,
     _stacked_log_densities,
-    log_weighted_densities,
 )
 
 
@@ -83,8 +82,13 @@ def default_prior(data, G):
     if arr.size == 0:
         raise DomainError("cannot scale a default prior to an empty dataset")
     lo, hi = float(arr.min()), float(arr.max())
+    with np.errstate(over="ignore", invalid="ignore"):  # partial sums of ±1e308 overflow to inf - inf
+        variance = float(arr.var())
+    if not math.isfinite(hi - lo) or not math.isfinite(variance):
+        raise DomainError(f"cannot scale a default prior to data from {lo!r} to {hi!r}: "
+                          "their range or variance overflows")
     spread = hi - lo if hi > lo else 1.0
-    variance = float(arr.var()) if arr.var() > 0.0 else 1.0
+    variance = variance if variance > 0.0 else 1.0
     return ConjugatePrior(
         dirichlet_weights=(1.0,) * G,
         normal_mean_loc=0.5 * (lo + hi),
@@ -170,17 +174,6 @@ def _draw_from_log_weights(rng, L):
     for g in range(G - 1):
         z += u >= cols[g]
     return z
-
-
-def gibbs_allocations(measure, data, seed):
-    """Draw 1-based allocations, row i with probability
-    allocation_probabilities(measure, data)[i]: one uniform per row, the
-    draw of a Gibbs sweep."""
-    rng = _rng(seed)
-    arr = validate_observations(measure.family, data)
-    if len(arr) == 0:
-        return np.empty(0, dtype=np.int64)
-    return _draw_from_log_weights(rng, log_weighted_densities(MixtureModel(measure), arr))
 
 
 def _posterior_coefficients(prior, arr, z, counts):
@@ -469,7 +462,7 @@ def log_marginal_likelihood(data, G, prior, config=EvidenceConfig()):
 
 def combine_log_marginals(log_marginals, prior_on_G):
     """Bayes' rule across model sizes in log space; DomainError if no size has mass."""
-    prior_on_G = _require_probabilities("prior_on_G", prior_on_G)
+    prior_on_G = np.array(_require_probabilities("prior_on_G", prior_on_G))
     log_marginals = _require_log_values("log_marginals", log_marginals)
     if len(log_marginals) != len(prior_on_G):
         raise DomainError("one marginal likelihood per model size is required")

@@ -322,7 +322,13 @@ class Poisson(_Component):
         return np.arange(lo, hi + 1)
 
     def sample(self, rng, n):
-        return rng.poisson(self.lam, size=n)
+        """n counts; DomainError naming ``lam`` above numpy's sampling bound
+        (about 9.2e18), though the density takes any positive finite rate."""
+        try:
+            return rng.poisson(self.lam, size=n)
+        except ValueError:
+            message = f"lam {self.lam!r} is too large to sample: numpy draws Poisson counts below about 9.2e18"
+            raise DomainError(message) from None
 
     @staticmethod
     def validate_observations(y):

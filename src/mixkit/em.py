@@ -114,15 +114,6 @@ def resolve_variance_floor(data, family, config):
     return 1e-6 * base if base > 0.0 else 1e-12
 
 
-def _check_row_stochastic(r, n):
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != n:
-        raise DomainError("responsibilities must be an n-by-G matrix")
-    if np.any(r < 0.0) or np.max(np.abs(r.sum(axis=1) - 1.0)) > 1e-9:
-        raise DomainError("responsibility rows must be non-negative and sum to 1")
-    return r
-
-
 def _m_step_arrays(data, r, family, floor):
     """Weighted maximum-likelihood update on arrays.
 
@@ -136,23 +127,6 @@ def _m_step_arrays(data, r, family, floor):
     safe = np.where(totals < EMPTY_RESPONSIBILITY, 1.0, totals)
     params = FAMILIES[family]._m_step(rT, np.asarray(data, dtype=float), safe, floor)
     return totals / len(data), params, empty
-
-
-def m_step(data, r, family, config=EMConfig()):
-    """Closed-form weighted MLE of weights and component parameters.
-
-    Normal variances are floored (see EMConfig) so a component cannot
-    collapse onto a single point; Poisson rates are floored at 1e-8.
-    A component whose total responsibility underflows raises
-    EmptyComponentError carrying its 1-based label.
-    """
-    arr = validate_observations(family, data)
-    r = _check_row_stochastic(r, len(arr))
-    floor = resolve_variance_floor(arr, family, config)
-    weights, params, empty = _m_step_arrays(arr, r, family, floor)
-    if empty.size:
-        raise EmptyComponentError(int(empty[0]) + 1)
-    return _measure_from_params(family, weights / weights.sum(), params)
 
 
 def _initial_params(data, G, family, config, rng, floor):
@@ -379,13 +353,6 @@ def _atom_argmax(L):
         idx[better] = g
         np.maximum(best, col, out=best)
     return idx
-
-
-def hard_allocations(model, data):
-    """1-based labels maximizing the component density; ties go to the lowest."""
-    arr = validate_observations(model.family, data)
-    L = _component_log_densities(model.family, _measure_params(model.measure), arr)
-    return _atom_argmax(L) + 1
 
 
 def run_hard_em(data, G, family="normal", config=EMConfig()):

@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit, and the one place that checks arguments.
 
 Every public function, every config or parameter dataclass and the command
-line check their count, size, real and seed arguments with the helpers
-below, once per call, and nowhere else:
+line check their count, size, real, probability and seed arguments with the
+helpers below, once per call, and nowhere else:
 
 - a count or size (n, T, G, runs, max_iter, grid_points, ...) is a Python or
   numpy integer, never a bool and never a float, even 2.0:
@@ -10,14 +10,19 @@ below, once per call, and nowhere else:
 - a real is a number, never a str, bytes or bool, and finite
   (:func:`_require_finite`); a scale, shape, rate, concentration or
   tolerance is also greater than 0 (:func:`_require_positive`); an array of
-  log values may also hold -inf (:func:`_require_log_values`); a probability
-  vector holds reals in [0, 1] that sum to 1 (:func:`_require_probabilities`);
+  log values may also hold -inf (:func:`_require_log_values`);
+- a probability vector (mixing-measure weights, each row of an HMM's initial
+  law and transition matrix, the weights of ``sample_monotone_density``, a
+  prior over G) holds finite non-negative reals whose ``math.fsum`` is within
+  WEIGHT_SUM_TOL of 1: :func:`_require_probabilities`, the one such check,
+  which raises the error class its caller names;
 - a seed is what ``numpy.random.SeedSequence`` takes (:func:`_require_seed`);
   the functions that take a seed also take a Generator (:func:`_rng`).
 
-Each violation raises DomainError naming the argument.  A serialized mapping
-(a spec document, a model, a component) must hold exactly its fields
-(:func:`_require_fields`), or SpecDocumentError names them.
+Each violation raises DomainError naming the argument; the weights of a
+mixing measure and of ``sample_monotone_density`` raise InvalidMeasureError.
+A serialized mapping (a spec document, a model, a component) must hold
+exactly its fields (:func:`_require_fields`), or SpecDocumentError names them.
 """
 
 import math
@@ -130,17 +135,25 @@ def _require_log_values(name, values):
     return np.array([_as_real(v) for v in values])
 
 
-def _require_probabilities(name, values):
-    """``values`` as a float array, or DomainError unless every entry is a
-    real number in [0, 1] and the entries sum to 1 within 1e-12."""
-    values = list(values)
+# A probability vector's math.fsum may miss 1 by this much, and so one entry
+# may exceed 1 by as much: merging atoms in canonicalize can round a lone
+# weight to 1.0000000000000002.
+WEIGHT_SUM_TOL = 1e-12
+
+
+def _require_probabilities(name, values, error=DomainError):
+    """``values`` as a list of floats, or ``error`` unless every entry is a
+    real number in [0, 1 + WEIGHT_SUM_TOL] and their ``math.fsum`` is within
+    WEIGHT_SUM_TOL of 1."""
+    probabilities = []
     for value in values:
-        if not 0.0 <= _as_real(value) <= 1.0:
-            raise DomainError(f"{name} entries must be real numbers in [0, 1], not {value!r}")
-    probabilities = np.array([_as_real(v) for v in values])
-    total = math.fsum(probabilities.tolist())
-    if abs(total - 1.0) > 1e-12:
-        raise DomainError(f"{name} must sum to 1, not {total!r}")
+        p = _as_real(value)
+        if not 0.0 <= p <= 1.0 + WEIGHT_SUM_TOL:
+            raise error(f"{name} must hold real numbers in [0, 1], not {value!r}")
+        probabilities.append(p)
+    total = math.fsum(probabilities)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise error(f"{name} must sum to 1, not {total!r}")
     return probabilities
 
 

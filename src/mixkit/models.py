@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import FAMILIES, _logs, component_from_dict, validate_observations
-from .errors import DomainError, InvalidMeasureError, SpecDocumentError, _as_real, _require_count
-from .errors import _require_fields
+from .errors import WEIGHT_SUM_TOL, DomainError, InvalidMeasureError, SpecDocumentError, _require_count
+from .errors import _require_fields, _require_probabilities
 
-WEIGHT_SUM_TOL = 1e-12
 # canonicalize(): atoms lighter than WEIGHT_EPS are dropped; atoms whose
 # parameters agree within PARAM_EPS (absolute) are merged.
 WEIGHT_EPS = 1e-12
@@ -42,19 +41,15 @@ class MixingMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((_as_real(w), c) for w, c in self.atoms)
+        atoms = tuple(self.atoms)
         if len(atoms) < 1:
             raise InvalidMeasureError("a mixing measure needs at least one atom")
-        families = {c.family for _, c in atoms}
+        comps = [c for _, c in atoms]
+        families = {c.family for c in comps}
         if len(families) > 1:
             raise InvalidMeasureError(f"atoms mix families: {sorted(families)}")
-        for w, _ in atoms:
-            if not (math.isfinite(w) and w >= 0.0):
-                raise InvalidMeasureError("weights must be finite and non-negative")
-        total = math.fsum(w for w, _ in atoms)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidMeasureError(f"weights sum to {total!r}, not 1")
-        object.__setattr__(self, "atoms", atoms)
+        weights = _require_probabilities("weights", [w for w, _ in atoms], InvalidMeasureError)
+        object.__setattr__(self, "atoms", tuple(zip(weights, comps)))
 
     def __len__(self):
         return len(self.atoms)

@@ -10,15 +10,13 @@ streams are reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidMeasureError, _as_real, _require_count, _require_finite
-from .errors import _require_positive, _rng
-from .models import WEIGHT_SUM_TOL
+from .errors import DomainError, InvalidMeasureError, _require_count, _require_finite
+from .errors import _require_positive, _require_probabilities, _rng
 
 
 def _categorical(rng, weights, n):
@@ -53,8 +51,8 @@ class HMMSpec:
     components: tuple
 
     def __post_init__(self):
-        initial = tuple(_require_finite("initial entry", p) for p in self.initial)
-        xi = tuple(tuple(_require_finite("xi entry", p) for p in row) for row in self.xi)
+        initial = tuple(_require_probabilities("initial", self.initial))
+        xi = tuple(tuple(_require_probabilities(f"xi row {g}", row)) for g, row in enumerate(self.xi, 1))
         comps = tuple(self.components)
         G = len(comps)
         if G < 1:
@@ -63,11 +61,6 @@ class HMMSpec:
             raise DomainError("emission components must share one family")
         if len(initial) != G or len(xi) != G or any(len(row) != G for row in xi):
             raise DomainError("initial and xi must match the number of states")
-        for row in (initial,) + xi:
-            if any(p < 0.0 for p in row):
-                raise DomainError("probabilities must be non-negative")
-            if abs(math.fsum(row) - 1.0) > WEIGHT_SUM_TOL:
-                raise DomainError("probability rows must sum to 1")
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "components", comps)
@@ -180,15 +173,11 @@ def sample_monotone_density(thetas, n, seed):
     and weights on the simplex.
     """
     n = _require_count("n", n)
-    pairs = [(_as_real(w), _require_positive("theta", t)) for w, t in thetas]
+    pairs = [(w, _require_positive("theta", t)) for w, t in thetas]
     if not pairs:
         raise DomainError("at least one atom is required")
-    if not all(w >= 0.0 for w, _ in pairs):
-        raise InvalidMeasureError("weights must be non-negative")
-    if abs(math.fsum(w for w, _ in pairs) - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidMeasureError("weights must sum to 1")
+    weights = np.array(_require_probabilities("weights", [w for w, _ in pairs], InvalidMeasureError))
     rng = _rng(seed)
-    weights = np.array([w for w, _ in pairs])
     uppers = np.array([t for _, t in pairs])
     idx = _categorical(rng, weights, n)
     return rng.random(n) * uppers[idx]

@@ -1,9 +1,19 @@
-"""Shared fixtures: small reference models used across the test modules."""
+"""Shared fixtures: small reference models used across the test modules.
+
+Every hypothesis property draws the same examples on every run: the profile
+loaded here seeds each test's generator from the test itself
+(``derandomize``), and each property keeps its own ``max_examples`` and
+``deadline``.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import mixkit as mk
+
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

@@ -3,10 +3,13 @@
 Counts and sizes are Python or numpy integers: never a bool, never a float,
 not even 2.0.  Count observations (the y of a count pmf) may be integral
 floats.  Reals are numbers, never str, bytes or bool, and finite; scales,
-shapes, rates, concentrations and tolerances are also greater than 0.  Seeds
-are what ``numpy.random.SeedSequence`` takes, and the functions that take a
-seed also take a Generator.  Every violation is a DomainError naming the
-argument, or a SpecDocumentError when the value comes through a document.
+shapes, rates, concentrations and tolerances are also greater than 0.  A
+probability vector holds finite non-negative reals whose math.fsum is within
+1e-12 of 1, under one rule for every caller.  Seeds are what
+``numpy.random.SeedSequence`` takes, and the functions that take a seed also
+take a Generator.  Every violation is a DomainError naming the argument (an
+InvalidMeasureError for measure weights), or a SpecDocumentError when the
+value comes through a document.
 
 ``test_every_public_callable_is_tabled_or_exempt`` keeps the tables complete:
 a new name in ``mixkit.__all__`` must join a table or the exemption list.
@@ -159,10 +162,6 @@ REALS = {
         "lam": Real(lambda v: mk.model_from_dict(
             {"family": "poisson", "atoms": [{"weight": 1.0, "lam": v}]}), True, SPEC),
     },
-    "HMMSpec": {
-        "initial": Real(lambda v: mk.HMMSpec((v, 0.5), HMM.xi, HMM.components), False),
-        "xi": Real(lambda v: mk.HMMSpec(HMM.initial, ((v, 0.1), (0.2, 0.8)), HMM.components), False),
-    },
     "InverseGamma": {
         "shape": Real(lambda v: mk.InverseGamma(v, 1.0), True),
         "scale": Real(lambda v: mk.InverseGamma(1.0, v), True),
@@ -219,10 +218,30 @@ LOG_VALUES = {
     "combine_log_marginals": {"log_marginals": lambda v: mk.combine_log_marginals([v, 0.0], (0.5, 0.5))},
 }
 
-# entry point -> {argument: call with one entry of a probability vector whose other entry is 0.5}
+
+class Probabilities(NamedTuple):
+    call: Callable  # takes a probability vector of two entries
+    error: type = mk.DomainError
+
+
+# entry point -> {argument: Probabilities(call with the vector, the error it raises)}
 PROBABILITIES = {
-    "combine_log_marginals": {"prior_on_G": lambda v: mk.combine_log_marginals([0.0, -1.0], [v, 0.5])},
-    "posterior_over_G": {"prior_on_G": lambda v: mk.posterior_over_G(Y, (1, 2), builder, [v, 0.5], EVIDENCE)},
+    "MixingMeasure": {
+        "weights": Probabilities(lambda p: mk.MixingMeasure(tuple(zip(p, MEASURE.components))),
+                                 mk.InvalidMeasureError),
+    },
+    "HMMSpec": {
+        "initial": Probabilities(lambda p: mk.HMMSpec(p, HMM.xi, HMM.components)),
+        "xi": Probabilities(lambda p: mk.HMMSpec(HMM.initial, (HMM.xi[0], p), HMM.components)),
+    },
+    "sample_monotone_density": {
+        "weights": Probabilities(lambda p: mk.sample_monotone_density(tuple(zip(p, (1.0, 2.0))), 3, 0),
+                                 mk.InvalidMeasureError),
+    },
+    "combine_log_marginals": {"prior_on_G": Probabilities(lambda p: mk.combine_log_marginals([0.0, -1.0], p))},
+    "posterior_over_G": {
+        "prior_on_G": Probabilities(lambda p: mk.posterior_over_G(Y, (1, 2), builder, p, EVIDENCE)),
+    },
 }
 
 # entry point -> call with the seed, giving its draws; configs store seeds and take no Generator
@@ -231,7 +250,6 @@ SEEDED = {
     "sample_hmm": lambda s: mk.sample_hmm(HMM, 3, s),
     "sample_scale_mixture": lambda s: mk.sample_scale_mixture(0.0, mk.InverseGamma(2.0, 2.0), 3, s),
     "sample_monotone_density": lambda s: mk.sample_monotone_density(((0.5, 1.0), (0.5, 2.0)), 3, s),
-    "gibbs_allocations": lambda s: mk.gibbs_allocations(MEASURE, Y, s),
     "gibbs_sweep": lambda s: mk.gibbs_sweep(STATE, Y, PRIOR, s),
     "prior_draw": lambda s: mk.prior_draw(PRIOR, s),
     "sample_crp_labels": lambda s: mk.sample_crp_labels(1.0, 4, 2, s),
@@ -247,7 +265,6 @@ EXEMPT = {
     **{name: "an exception type" for name in ("MixtureError", "DomainError", "InvalidMeasureError",
                                                "IntervalTooSmallError", "DegeneratePointError",
                                                "EmptyComponentError", "SpecDocumentError", "DataFileError")},
-    "MixingMeasure": "its weights are measure invariants: InvalidMeasureError, tested below",
     "MixtureModel": "takes a checked MixingMeasure and a family tag",
     "canonicalize": "takes a checked MixingMeasure",
     "validate_observations": "the check of observations itself",
@@ -256,9 +273,7 @@ EXEMPT = {
     "log_likelihood": "takes observations, checked by validate_observations",
     "log_weighted_densities": "takes observations, checked by validate_observations",
     "e_step": "takes observations, checked by validate_observations",
-    "hard_allocations": "takes observations, checked by validate_observations",
     "allocation_probabilities": "takes observations, checked by validate_observations",
-    "m_step": "observations and a responsibility matrix; its config is an EMConfig",
     "fit_report": "formats a finished EMState",
     "summarize_H": "takes a PosteriorSample and a functional",
     "ParamRegion": "extended-real bounds (+-inf is valid); nan bounds are tested below",
@@ -357,16 +372,40 @@ def test_a_log_value_may_be_minus_inf(call, name):
     assert plain(call(-math.inf)) == plain(call(np.float64(-math.inf))) == plain(np.array([0.0, 1.0]))
 
 
-@pytest.mark.parametrize("call, name, value", cases(PROBABILITIES, lambda call: BAD_PROBABILITIES))
-def test_a_probability_that_is_no_real_in_the_unit_interval_raises(call, name, value):
+@pytest.mark.parametrize("row, name, value", cases(PROBABILITIES, lambda row: BAD_PROBABILITIES))
+def test_a_probability_that_is_no_real_in_the_unit_interval_raises(row, name, value):
     # the message names the argument and the entry, never "the log normalizer is nan"
-    raises_naming(mk.DomainError, name, call, value)
-    raises_naming(mk.DomainError, repr(value), call, value)
+    raises_naming(row.error, name, lambda v: row.call((v, 0.5)), value)
+    raises_naming(row.error, repr(value), lambda v: row.call((v, 0.5)), value)
 
 
-@pytest.mark.parametrize("call, name", rows(PROBABILITIES))
-def test_a_probability_may_be_a_numpy_float(call, name):
-    assert plain(call(np.float64(0.5))) == plain(call(0.5))
+@pytest.mark.parametrize("row, name", rows(PROBABILITIES))
+def test_a_probability_may_be_a_numpy_float(row, name):
+    assert plain(row.call((np.float64(0.5), 0.5))) == plain(row.call((0.5, 0.5)))
+
+
+# (vector, whether it is a probability vector): math.fsum within 1e-12 of 1,
+# and an entry may exceed 1 by as much
+SIMPLEX_EDGE = [((0.5, 0.5 + 5e-13), True), ((0.5, 0.5 - 5e-13), True), ((1.0 + 5e-13, 0.0), True),
+                ((1.0000000000000002, 0.0), True), ((0.5, 0.5 + 2e-12), False), ((0.5, 0.5 - 2e-12), False),
+                ((1.0 + 2e-12, 0.0), False), ((1.0 - 2e-12, 0.0), False)]
+
+
+@pytest.mark.parametrize("vector, valid", SIMPLEX_EDGE, ids=[repr(v) for v, _ in SIMPLEX_EDGE])
+@pytest.mark.parametrize("row, name", rows(PROBABILITIES))
+def test_every_caller_takes_the_same_edge_of_the_simplex(row, name, vector, valid):
+    if valid:
+        row.call(vector)
+    else:
+        with pytest.raises(row.error):
+            row.call(vector)
+
+
+def test_a_merge_that_rounds_one_weight_above_1_still_builds():
+    # 0.26682361617308975 + 0.7331763838269104 rounds to 1.0000000000000002
+    atom = mk.UnivariateNormal(0.0, 1.0)
+    merged = mk.canonicalize(mk.MixingMeasure(((0.26682361617308975, atom), (0.7331763838269104, atom))))
+    assert merged.atoms == ((1.0000000000000002, atom),)
 
 
 @pytest.mark.parametrize("prior_on_G", [[True, False], [np.True_, np.False_], ["0.5", "0.5"], [b"1", 0.0]])
@@ -394,14 +433,6 @@ def test_a_generator_or_numpy_integer_seed_gives_the_same_draws(call):
     want = plain(call(5))
     assert plain(call(np.random.default_rng(5))) == want
     assert plain(call(np.uint8(5))) == want
-
-
-@pytest.mark.parametrize("weight", [math.nan, -0.5, "1", True])
-def test_measure_weights_are_measure_invariants(weight):
-    with pytest.raises(mk.InvalidMeasureError):
-        mk.MixingMeasure(((weight, mk.UnivariateNormal(0.0, 1.0)),))
-    with pytest.raises(mk.InvalidMeasureError):
-        mk.sample_monotone_density(((weight, 1.0),), 3, 0)
 
 
 @pytest.mark.parametrize("bound", ["mu_min", "mu_max", "sigma_min", "sigma_max"])

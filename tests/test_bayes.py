@@ -110,6 +110,15 @@ def test_default_prior_centers_on_the_data():
     assert prior.normal_mean_scale == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("data", [[-1e308, 1e308], [1e308, 9e307], [-1e308, -9e307, 0.0],
+                                  [1e308] * 200 + [-1e308] * 200])
+def test_a_default_prior_on_data_whose_spread_overflows_raises_naming_the_data(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mk.DomainError, match="data"):
+            mk.default_prior(data, 2)
+
+
 def test_allocation_probabilities_equal_e_step(two_normal_separated):
     data = mk.sample_mixture(two_normal_separated, 200, 51).data
     r_em = mk.e_step(two_normal_separated, data)
@@ -117,19 +126,19 @@ def test_allocation_probabilities_equal_e_step(two_normal_separated):
     assert np.array_equal(r_em, r_gibbs)
 
 
-def test_gibbs_allocations_follow_responsibilities(two_normal_separated):
+def _allocation_draws(measure, data, seed):
+    """1-based allocations drawn from the weighted log-densities, as a Gibbs sweep draws them."""
+    L = mk.log_weighted_densities(mk.MixtureModel(measure), data)
+    return _draw_from_log_weights(np.random.default_rng(seed), L)
+
+
+def test_allocation_draws_follow_responsibilities(two_normal_separated):
     data = mk.sample_mixture(two_normal_separated, 4000, 53).data
-    z = mk.gibbs_allocations(two_normal_separated.measure, data, 55)
+    z = _allocation_draws(two_normal_separated.measure, data, 55)
     assert z.min() >= 1 and z.max() <= 2
     r = mk.e_step(two_normal_separated, data)
     assert abs((z == 1).mean() - r[:, 0].mean()) < 0.02
-
-
-def test_gibbs_allocations_reproducible(two_normal_separated):
-    data = mk.sample_mixture(two_normal_separated, 100, 57).data
-    a = mk.gibbs_allocations(two_normal_separated.measure, data, 5)
-    b = mk.gibbs_allocations(two_normal_separated.measure, data, 5)
-    assert np.array_equal(a, b)
+    assert np.array_equal(_allocation_draws(two_normal_separated.measure, data, 55), z)
 
 
 def _parent_responsibilities(L):
@@ -216,7 +225,7 @@ def test_allocation_frequencies_follow_e_step():
         (0.2, mk.UnivariateNormal(3.4, 1.3)),
     )))
     points, reps = np.array([1.5, 2.8, 3.3, 5.0]), 40000
-    z = mk.gibbs_allocations(model.measure, np.repeat(points, reps), 81).reshape(len(points), reps)
+    z = _allocation_draws(model.measure, np.repeat(points, reps), 81).reshape(len(points), reps)
     r = mk.e_step(model, points)
     for row, probs in zip(z, r):
         observed = np.bincount(row - 1, minlength=3)
@@ -235,17 +244,17 @@ def test_degenerate_point_is_the_one_e_step_reports(data):
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
     with pytest.raises(mk.DegeneratePointError) as got:
-        mk.gibbs_allocations(measure, data, rng)
+        _draw_from_log_weights(rng, mk.log_weighted_densities(mk.MixtureModel(measure), data))
     assert got.value.index == want.value.index == via_e_step.value.index
     assert rng.bit_generator.state == before
 
 
-def test_gibbs_allocations_are_the_draws_of_a_sweep(flat_prior, two_normal_separated):
+def test_allocation_draws_are_the_draws_of_a_sweep(flat_prior, two_normal_separated):
     from mixkit.bayes import GibbsState
 
     data = mk.sample_mixture(two_normal_separated, 300, 83).data
     measure = mk.prior_draw(flat_prior, 5)
-    z = mk.gibbs_allocations(measure, data, np.random.default_rng(85))
+    z = _allocation_draws(measure, data, 85)
     state = GibbsState(z=np.ones(len(data), dtype=np.int64), measure=measure, iteration=0)
     assert np.array_equal(mk.gibbs_sweep(state, data, flat_prior, np.random.default_rng(85)).z, z)
 

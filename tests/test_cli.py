@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -652,4 +653,33 @@ def test_a_dirichlet_multinomial_table_stays_bounded(tmp_path, capsys, trials, p
     out.parent.mkdir()
     assert main(["compound", "--spec", str(spec), "--out", str(out)]) == EXIT_USAGE
     assert "more than 200000 count vectors" in capsys.readouterr().err
+    assert os.listdir(out.parent) == []
+
+
+@pytest.mark.parametrize("lam", [1e19, 1e300])
+def test_simulate_a_poisson_rate_numpy_cannot_sample_is_a_usage_error(tmp_path, capsys, lam):
+    spec = tmp_path / "pois.json"
+    spec.write_text(json.dumps({**POIS_SPEC, "atoms": [{"weight": 1.0, "lam": lam}]}), encoding="utf-8")
+    out = tmp_path / "run" / "sim.csv"
+    out.parent.mkdir()
+    assert main(["simulate", "--spec", str(spec), "--n", "5", "--out", str(out)]) == EXIT_USAGE
+    assert "lam" in capsys.readouterr().err
+    assert os.listdir(out.parent) == []
+    # the same rate still has a pmf table
+    assert main(["density", "--spec", str(spec), "--grid=0:4:5", "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [["select-g", "--g-min", "1", "--g-max", "2", "--prior-draws", "1000"],
+                                  ["fit", "--method", "gibbs", "--G", "2", "--burn-in", "2", "--samples", "2"]])
+def test_data_whose_spread_overflows_is_named_without_a_warning(tmp_path, capsys, argv):
+    data = tmp_path / "wide.csv"
+    data.write_text("y\r\n-1e308\r\n0.0\r\n1e308\r\n", encoding="utf-8")
+    out = tmp_path / "run" / "out"
+    out.parent.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert main(argv + ["--data", str(data), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines() and all(line.startswith("mixkit: ") for line in err.splitlines())
+    assert "data" in err and "normal_mean_scale" not in err
     assert os.listdir(out.parent) == []

@@ -46,8 +46,9 @@ def test_e_step_flags_zero_density_points():
 def test_m_step_hand_computed():
     data = np.array([0.0, 1.0, 10.0, 12.0])
     r = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    measure = mk.m_step(data, r, "normal", mk.EMConfig(variance_floor=1e-12))
-    assert list(measure.weights) == [0.5, 0.5]
+    weights, params, empty = mixkit.em._m_step_arrays(data, r, "normal", 1e-12)
+    assert weights.tolist() == [0.5, 0.5] and empty.size == 0
+    measure = mixkit.em._measure_from_params("normal", weights, params)
     assert measure.components[0].mu == pytest.approx(0.5)
     assert measure.components[0].sigma == pytest.approx(0.5)
     assert measure.components[1].mu == pytest.approx(11.0)
@@ -57,24 +58,14 @@ def test_m_step_hand_computed():
 def test_m_step_poisson_hand_computed():
     data = np.array([1, 2, 3, 10])
     r = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    measure = mk.m_step(data, r, "poisson")
-    assert measure.components[0].lam == pytest.approx(2.0)
-    assert measure.components[1].lam == pytest.approx(10.0)
+    weights, (lam,), empty = mixkit.em._m_step_arrays(data, r, "poisson", 1e-12)
+    assert lam == pytest.approx([2.0, 10.0]) and empty.size == 0
 
 
-def test_m_step_rejects_empty_component():
+def test_m_step_reports_an_empty_component():
     data = np.array([0.0, 1.0, 2.0])
     r = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(mk.EmptyComponentError) as exc:
-        mk.m_step(data, r, "normal")
-    assert exc.value.component == 2
-
-
-def test_m_step_rejects_non_stochastic_rows():
-    data = np.array([0.0, 1.0])
-    r = np.array([[0.7, 0.7], [0.5, 0.5]])
-    with pytest.raises(mk.DomainError):
-        mk.m_step(data, r, "normal")
+    assert mixkit.em._m_step_arrays(data, r, "normal", 1e-12)[2].tolist() == [1]
 
 
 def test_run_em_recovers_separated_pair(two_normal_separated):
@@ -183,18 +174,20 @@ def test_bivariate_em_recovery(two_bivariate):
     assert canon.components[1].mean[0] == pytest.approx(4.0, abs=0.3)
 
 
-def test_hard_allocations_ignore_weights():
-    lopsided = mk.MixtureModel(
-        mk.MixingMeasure(
-            ((0.99, mk.UnivariateNormal(-1.0, 1.0)), (0.01, mk.UnivariateNormal(1.0, 1.0)))
-        )
+def _hard_labels(measure, data):
+    """0-based labels of the component of largest density: the argmax a hard-EM iteration takes."""
+    em = mixkit.em
+    arr = mk.validate_observations(measure.family, data)
+    return em._atom_argmax(em._component_log_densities(measure.family, em._measure_params(measure), arr))
+
+
+def test_hard_labels_ignore_weights():
+    lopsided = mk.MixingMeasure(
+        ((0.99, mk.UnivariateNormal(-1.0, 1.0)), (0.01, mk.UnivariateNormal(1.0, 1.0)))
     )
     # at y = 0.5 the second component has the higher density; the weight
-    # plays no part in the hard rule
-    assert mk.hard_allocations(lopsided, [0.5])[0] == 2
-    assert mk.hard_allocations(lopsided, [-0.5])[0] == 1
-    # exact tie goes to the lower label
-    assert mk.hard_allocations(lopsided, [0.0])[0] == 1
+    # plays no part in the hard rule, and an exact tie (y = 0) goes to the lower label
+    assert _hard_labels(lopsided, [0.5, -0.5, 0.0]).tolist() == [1, 0, 0]
 
 
 def test_run_hard_em_trace_is_monotone(two_normal_separated):
@@ -249,19 +242,23 @@ def test_one_em_iteration_is_m_step_of_e_step(family, request):
     config = mk.EMConfig(init=start, max_iter=1, restarts=1, seed=0)
     state = mk.run_em(data, 2, family, config)
     assert state.iteration == 1
-    stepped = mk.m_step(data, mk.e_step(mk.MixtureModel(start), data), family, config)
+    arr = mk.validate_observations(family, data)
+    floor = mixkit.em.resolve_variance_floor(arr, family, config)
+    weights, params, empty = mixkit.em._m_step_arrays(arr, mk.e_step(mk.MixtureModel(start), arr), family, floor)
+    assert empty.size == 0
+    stepped = mixkit.em._measure_from_params(family, weights / weights.sum(), params)
     _assert_measures_close(state.model.measure, stepped, 1e-12)
     assert state.loglik == pytest.approx(mk.log_likelihood(mk.MixtureModel(stepped), data), rel=1e-12)
 
 
 @pytest.mark.parametrize("family", ["normal", "poisson", "bivariate_normal"])
-def test_hard_em_labels_are_hard_allocations(family, request):
+def test_hard_em_labels_are_those_of_its_final_measure(family, request):
     truth = request.getfixturevalue(FIXTURE_OF[family])
     data = mk.sample_mixture(truth, 300, 73).data
     for max_iter in (1, 1000):
         state = mk.run_hard_em(data, 2, family, mk.EMConfig(seed=2, max_iter=max_iter))
-        labels = np.argmax(state.responsibilities, axis=1) + 1
-        assert np.array_equal(labels, mk.hard_allocations(state.model, data))
+        labels = np.argmax(state.responsibilities, axis=1)
+        assert np.array_equal(labels, _hard_labels(state.model.measure, data))
 
 
 def test_atom_argmax_matches_np_argmax():

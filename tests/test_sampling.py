@@ -55,6 +55,18 @@ def test_sample_mixture_poisson_dtype(two_poisson):
     assert s.data.min() >= 0
 
 
+@pytest.mark.parametrize("lam", [9.3e18, 1e19, 1e300])
+def test_a_poisson_rate_numpy_cannot_sample_raises_naming_lam(lam):
+    # the rate is a valid component (its pmf is tabulated); only drawing from it fails
+    huge = mk.Poisson(lam)
+    model = mk.MixtureModel(mk.MixingMeasure(((0.5, mk.Poisson(4.0)), (0.5, huge))))
+    with pytest.raises(mk.DomainError, match="lam"):
+        mk.sample_mixture(model, 20, 1)
+    spec = mk.HMMSpec(initial=(0.0, 1.0), xi=((0.5, 0.5), (0.5, 0.5)), components=(mk.Poisson(4.0), huge))
+    with pytest.raises(mk.DomainError, match="lam"):
+        mk.sample_hmm(spec, 20, 1)
+
+
 def test_hmm_spec_validation():
     comps = (mk.UnivariateNormal(0.0, 1.0), mk.UnivariateNormal(5.0, 1.0))
     with pytest.raises(mk.DomainError):
